@@ -31,7 +31,6 @@ from .events import (
     Event,
     Measurement,
     SuperOperator,
-    apply,
     complement,
     complete_event,
     empty_event,
@@ -54,20 +53,15 @@ from .independence import (
     DependenceProfile,
     IndependenceQuery,
     compute_profile,
-    is_dependence_radius,
     is_independent,
     is_neg_independent,
-    nind_index,
 )
 from .linalg import (
     DEFAULT_TOL,
     DensityOperator,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     dimension_cap,
-    kron,
-    matmul,
     trace,
     validate_density,
 )
@@ -75,9 +69,7 @@ from .lll import (
     LLLInstance,
     LLLReport,
     SymmetricReport,
-    check_assumption,
     check_general,
-    check_lemma,
     check_symmetric,
     symmetric_chain_holds,
 )

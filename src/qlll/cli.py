@@ -9,7 +9,6 @@ sequence or a failed hypothesis; 2 parse, validation or internal errors.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
@@ -21,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .events import parse_event_seq, resolve_event_spec
+from .generate import GeneratorKind, GeneratorSpec, generate, worked_examples
 from .independence import IndependenceQuery, compute_profile, is_independent, is_neg_independent
 from .linalg import DEFAULT_TOL
 from .lll import LLLInstance, check_general, check_symmetric
@@ -28,10 +28,6 @@ from .oracle import enumerate_probability, sample_trajectories
 from .probability import pr_state, pr_state_cond, pr_test_cond, pr_test_marginal
 from .serialize import dumps as dump_instance
 from .serialize import load_path
-
-# The package re-exports the generate() function under the submodule's
-# name, so the module itself has to be fetched explicitly.
-gen_mod = importlib.import_module(__package__ + ".generate")
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -201,7 +197,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_paper_examples(args) -> int:
-    results = gen_mod.worked_examples()
+    results = worked_examples()
     doc = {
         "command": "paper-examples",
         "results": [ex.to_json() for ex in results],
@@ -212,7 +208,7 @@ def cmd_paper_examples(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = gen_mod.GeneratorSpec(
+    spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
         local_dim=args.local_dim,
@@ -220,7 +216,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         outcomes=args.outcomes,
     )
-    a = gen_mod.generate(spec)
+    a = generate(spec)
     x = tuple(float(v) for v in args.x.split(",")) if args.x else None
     text = dump_instance(a, x=x, pretty=args.pretty)
     if args.out:
@@ -244,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("--instance", required=True, help="path to an instance JSON file")
-        p.add_argument("--json", action="store_true", help="compact JSON output (default)")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
 
     p = sub.add_parser("prob", help="sequence or marginal probability")
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance file")
     common(p, instance=False)
-    p.add_argument("--kind", required=True, choices=[k.value for k in gen_mod.GeneratorKind])
+    p.add_argument("--kind", required=True, choices=[k.value for k in GeneratorKind])
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--local-dim", type=int, default=2, dest="local_dim")
     p.add_argument("--window", type=int, default=2)

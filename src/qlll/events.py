@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, PARTIAL, DensityOperator, ToleranceConfig, as_matrix, check_dimension, validate_density
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, check_dimension
 
 
 class Measurement:
@@ -250,15 +250,6 @@ def super_operator_of(event: Event) -> SuperOperator:
     m = event.measurement
     kraus = tuple(m.kraus[label] for label in m.spectrum if label in event.outcomes)
     return SuperOperator(kraus=kraus, dim=m.dim)
-
-
-def apply(s: SuperOperator, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
-    """Apply a super-operator to a state; the result is a validated partial state."""
-    if rho.dim != s.dim:
-        raise DimensionMismatchError(
-            f"super-operator dimension {s.dim} does not match state dimension {rho.dim}"
-        )
-    return validate_density(s(rho.matrix), PARTIAL, tol)
 
 
 _FULL_RE = re.compile(r"^\s*full\(\s*M(\d+)\s*\)\s*$")

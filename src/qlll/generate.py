@@ -32,9 +32,8 @@ import numpy as np
 
 from .errors import GiveUpError, ValidationError
 from .events import Event, Measurement, complement, complete_event
-from .independence import compute_profile
 from .linalg import DEFAULT_TOL, FULL, DensityOperator, ToleranceConfig, check_dimension, validate_density
-from .lll import LLLInstance, _assumption_rows
+from .lll import LLLInstance, check_general
 from .probability import (
     Test,
     TestEventAssignment,
@@ -377,9 +376,7 @@ def generate_assumption_satisfying(
         rng = np.random.default_rng(spec.seed + 7919 * (attempt + 1))
         while True:
             inst = LLLInstance(a, tuple(x))
-            profile = compute_profile(a, tol)
-            rows = _assumption_rows(inst, profile, tol)
-            failing = [r for r in rows if not r["ok"]]
+            failing = [r for r in check_general(inst, tol).assumption_rows if not r["ok"]]
             if not failing:
                 return inst, rejections
             rejections += 1

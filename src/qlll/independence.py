@@ -73,27 +73,6 @@ def is_neg_independent(
     return abs(lhs - rhs) <= tol.ind
 
 
-def nind_index(a: TestEventAssignment, k: int, l: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the event at *k* is negatively independent of every
-    complemented prefix of length 1..*l*.
-
-    Antitone in *l* by construction.  Propagates ``ConditionOnZeroError``
-    with the offending prefix length in its detail.
-    """
-    if not (0 <= l < k <= a.n):
-        raise ValidationError(f"need 0 <= l < k <= {a.n}, got k={k}, l={l}")
-    for j in range(1, l + 1):
-        try:
-            ok = is_neg_independent(a, k, range(1, j + 1), tol)
-        except ConditionOnZeroError as exc:
-            exc.detail["prefix"] = j
-            exc.detail["target"] = k
-            raise
-        if not ok:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class DependenceProfile:
     """Full negative-independence structure of an assignment.
@@ -119,55 +98,27 @@ class DependenceProfile:
 def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) -> DependenceProfile:
     """Evaluate every negative-independence pair and summarize it.
 
-    Cost is one pair of probability queries per (target, prefix) pair; the
-    per-prefix results are folded into the (k, l) table, so the antitone
-    shape of the table is structural and asserted, not assumed.
+    Cost is one pair of probability queries per (target, prefix) pair.  Each
+    target folds its prefixes in order (any False wins, then any undefined,
+    else True), so ``table[(k, l)]`` covers every prefix of length <= l and
+    the table is antitone in l by construction.
     """
     n = a.n
-    per_prefix: dict[tuple[int, int], bool | None] = {}
-    for k in range(2, n + 1):
-        for j in range(1, k):
-            try:
-                per_prefix[(k, j)] = is_neg_independent(a, k, range(1, j + 1), tol)
-            except ConditionOnZeroError:
-                per_prefix[(k, j)] = None
-
     table: dict[tuple[int, int], bool | None] = {}
-    for k in range(2, n + 1):
-        for l in range(1, k):
-            votes = [per_prefix[(k, j)] for j in range(1, l + 1)]
-            if any(v is False for v in votes):
-                table[(k, l)] = False
-            elif any(v is None for v in votes):
-                table[(k, l)] = None
-            else:
-                table[(k, l)] = True
-
-    for k in range(2, n + 1):
-        seen_failure = False
-        for l in range(1, k):
-            if table[(k, l)] is not True:
-                seen_failure = True
-            assert not (seen_failure and table[(k, l)] is True), (
-                f"negative independence not antitone at k={k}, l={l}"
-            )
-
     s = [0] * n
-    for k in range(2, n + 1):
-        best = 0
-        for l in range(1, k):
-            if table[(k, l)] is True:
-                best = l
-        s[k - 1] = best
-
     d_min = 0
-    for (k, l), value in table.items():
-        if value is not True:
-            d_min = max(d_min, k - l)
-
+    for k in range(2, n + 1):
+        state: bool | None = True
+        for l in range(1, k):
+            try:
+                vote = is_neg_independent(a, k, range(1, l + 1), tol)
+            except ConditionOnZeroError:
+                vote = None
+            if vote is False or (vote is None and state is True):
+                state = vote
+            table[(k, l)] = state
+            if state is True:
+                s[k - 1] = l
+            else:
+                d_min = max(d_min, k - l)
     return DependenceProfile(n=n, s=tuple(s), table=table, d_min=d_min)
-
-
-def is_dependence_radius(profile: DependenceProfile, d: int) -> bool:
-    """Does *d* bound ``k - l`` for every dependent (or undefined) pair?"""
-    return all(k - l <= d for (k, l), v in profile.table.items() if v is not True)

@@ -2,8 +2,8 @@
 
 All matrices are square ``numpy.complex128`` arrays.  Arrays entering through
 :func:`as_matrix` are copied, checked for finiteness, and frozen
-(``writeable=False``); operations return fresh frozen arrays, so values can be
-shared freely across threads.
+(``writeable=False``), so validated values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -105,11 +105,6 @@ def check_dimension(dim: int) -> None:
         )
 
 
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
 def as_matrix(data) -> np.ndarray:
     """Copy *data* into a frozen square ``complex128`` matrix.
 
@@ -130,27 +125,12 @@ def as_matrix(data) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise NotFiniteError("matrix entries must be finite")
-    return _freeze(m)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"matmul needs equal square shapes, got {a.shape} and {b.shape}"
-        )
-    return _freeze(a @ b)
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return _freeze(a.conj().T.copy())
+    m.setflags(write=False)
+    return m
 
 
 def trace(a: np.ndarray) -> complex:
     return complex(np.trace(a))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _freeze(np.kron(a, b))
 
 
 @dataclass(frozen=True)

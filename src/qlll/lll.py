@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadPError, ConditionOnZeroError, ValidationError
+from .errors import BadPError, ValidationError
+from .events import complement, complete_event, super_operator_of
 from .independence import DependenceProfile, compute_profile
-from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import TestEventAssignment, pr_test_cond, pr_test_marginal
+from .linalg import DEFAULT_TOL, ToleranceConfig, trace
+from .probability import TestEventAssignment, _clamp_probability, _ratio
 
 
 @dataclass(frozen=True)
@@ -41,55 +42,35 @@ class LLLInstance:
             raise ValidationError(f"local-lemma checks need an event at every slot; missing {missing}")
 
 
-def _assumption_rows(
-    inst: LLLInstance, profile: DependenceProfile, tol: ToleranceConfig
-) -> list[dict]:
-    rows = []
-    for i in range(1, inst.assignment.n + 1):
-        bound = inst.x[i - 1]
-        for j in range(profile.s[i - 1] + 1, i):
-            bound *= 1.0 - inst.x[j - 1]
-        marginal = pr_test_marginal(inst.assignment, (i,), tol)
-        rows.append(
-            {
-                "i": i,
-                "marginal": marginal,
-                "bound": bound,
-                "ok": marginal <= bound + tol.prob,
-            }
-        )
-    return rows
+def _avoidance_pass(
+    a: TestEventAssignment, tol: ToleranceConfig
+) -> tuple[list[float], list[float | None], float]:
+    """Marginals, lemma conditionals and Pr[all avoided] from one walk of the test.
 
-
-def check_assumption(
-    inst: LLLInstance,
-    profile: DependenceProfile | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[bool]:
-    """Per-slot truth of the general hypothesis against the measured profile."""
-    if profile is None:
-        profile = compute_profile(inst.assignment, tol)
-    return [row["ok"] for row in _assumption_rows(inst, profile, tol)]
-
-
-def check_lemma(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, float]]:
-    """Conditionals Pr[E_i | none of E_1..E_{i-1}] paired with their weights.
-
-    Raises ``ConditionOnZeroError`` (with the slot in detail) when some
-    complemented prefix has numerically zero probability.
+    ``tau`` passes through every slot's complete channel, so ``tr(E_i(tau))``
+    is the padded marginal Pr[E_i].  ``sigma`` passes through every slot's
+    complement channel, so ``tr(E_i(sigma)) / tr(sigma)`` is the conditional
+    Pr[E_i | none of E_1..E_{i-1}]: None when ``tr(sigma) <= tol.prob``.  The
+    trace of the final ``sigma`` is the all-avoided probability.  These are
+    the same channels, applied in the same order, as ``pr_test_marginal`` and
+    ``pr_test_cond`` on the complemented assignment apply.
     """
-    a = inst.assignment
-    out = []
+    tau = sigma = a.test.rho.matrix
+    marginals: list[float] = []
+    lemma: list[float | None] = []
     for i in range(1, a.n + 1):
-        prefix = tuple(range(1, i))
-        flipped = a.with_complemented(prefix)
-        try:
-            value = pr_test_cond(flipped, prefix, (i,), tol)
-        except ConditionOnZeroError as exc:
-            exc.detail["slot"] = i
-            raise
-        out.append((value, inst.x[i - 1]))
-    return out
+        event = a.event(i)
+        hit = super_operator_of(event)
+        marginals.append(_clamp_probability(trace(hit(tau)).real, tol))
+        denom = _clamp_probability(trace(sigma).real, tol)
+        if denom <= tol.prob:
+            lemma.append(None)
+        else:
+            num = _clamp_probability(trace(hit(sigma)).real, tol)
+            lemma.append(_ratio(num, denom, tol))
+        tau = super_operator_of(complete_event(a.test.measurements[i - 1]))(tau)
+        sigma = super_operator_of(complement(event))(sigma)
+    return marginals, lemma, _clamp_probability(trace(sigma).real, tol)
 
 
 @dataclass(frozen=True)
@@ -130,13 +111,14 @@ class LLLReport:
     bound_ok: bool
     profile: DependenceProfile
     symmetric: SymmetricReport | None = None
+    tol: ToleranceConfig = DEFAULT_TOL  # the tolerances the check ran with
 
     def to_json(self) -> dict:
         return {
             "assumption_ok": list(self.assumption_ok),
             "assumption": [dict(r) for r in self.assumption_rows],
             "lemma_bounds": [
-                {"value": v, "x": x, "ok": None if v is None else v <= x + DEFAULT_TOL.prob}
+                {"value": v, "x": x, "ok": None if v is None else v <= x + self.tol.prob}
                 for v, x in self.lemma_bounds
             ],
             "lhs": self.lhs,
@@ -157,11 +139,6 @@ def symmetric_chain_holds(d: int, slack: float = 1e-12) -> bool:
     return 1.0 / ((d + 1) * math.e) <= x * (1.0 - x) ** d + slack
 
 
-def _all_avoided(a: TestEventAssignment, tol: ToleranceConfig) -> float:
-    flipped = a.with_complemented(range(1, a.n + 1))
-    return pr_test_marginal(flipped, tuple(range(1, a.n + 1)), tol)
-
-
 def check_general(
     inst: LLLInstance,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -175,30 +152,25 @@ def check_general(
     a = inst.assignment
     if profile is None:
         profile = compute_profile(a, tol)
-    rows = _assumption_rows(inst, profile, tol)
-
-    lemma: list[tuple[float | None, float]] = []
-    for i in range(1, a.n + 1):
-        prefix = tuple(range(1, i))
-        flipped = a.with_complemented(prefix)
-        try:
-            value = pr_test_cond(flipped, prefix, (i,), tol)
-        except ConditionOnZeroError:
-            value = None
-        lemma.append((value, inst.x[i - 1]))
-
-    lhs = _all_avoided(a, tol)
+    marginals, lemma, lhs = _avoidance_pass(a, tol)
+    rows = []
+    for i, marginal in enumerate(marginals, start=1):
+        bound = inst.x[i - 1]
+        for j in range(profile.s[i - 1] + 1, i):
+            bound *= 1.0 - inst.x[j - 1]
+        rows.append({"i": i, "marginal": marginal, "bound": bound, "ok": marginal <= bound + tol.prob})
     rhs = 1.0
     for v in inst.x:
         rhs *= 1.0 - v
     return LLLReport(
         assumption_ok=tuple(r["ok"] for r in rows),
         assumption_rows=tuple(rows),
-        lemma_bounds=tuple(lemma),
+        lemma_bounds=tuple(zip(lemma, inst.x)),
         lhs=lhs,
         rhs=rhs,
         bound_ok=lhs >= rhs - tol.prob,
         profile=profile,
+        tol=tol,
     )
 
 
@@ -217,10 +189,7 @@ def check_symmetric(
     all-complements probability to exceed ``tol.prob``; smaller values are
     "inconclusive" rather than a claim either way.
     """
-    marginals = [pr_test_marginal(a, (i,), tol) for i in range(1, a.n + 1)]
-    missing = [i for i in range(1, a.n + 1) if i not in a.events]
-    if missing:
-        raise ValidationError(f"symmetric check needs an event at every slot; missing {missing}")
+    marginals, _, lhs = _avoidance_pass(a, tol)
     p_max = max(marginals)
     if p is None:
         p = p_max
@@ -244,7 +213,6 @@ def check_symmetric(
 
     x = 1.0 / (d + 1)
     explicit_bound = (1.0 - x) ** a.n
-    lhs = _all_avoided(a, tol)
     chain_ok = symmetric_chain_holds(d) and (
         condition == "violated" or p <= 1.0 / ((d + 1) * math.e) + tol.prob
     )

@@ -205,7 +205,7 @@ def test_paper_examples_failure_exits_2(capsys, monkeypatch):
         events={},
         checks=(Check(label="bad", expected=0.5, actual=0.9),),
     )
-    monkeypatch.setattr(cli.gen_mod, "worked_examples", lambda tol=None: [broken])
+    monkeypatch.setattr(cli, "worked_examples", lambda tol=None: [broken])
     code, doc = run(capsys, "paper-examples")
     assert code == 2
     assert doc["all_pass"] is False

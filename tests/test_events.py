@@ -11,7 +11,6 @@ from qlll.events import (
     Event,
     Measurement,
     SuperOperator,
-    apply,
     complement,
     complete_event,
     empty_event,
@@ -21,7 +20,7 @@ from qlll.events import (
     union,
 )
 from qlll.generate import computational_measurement, plus_state, zx_measurement_pair
-from qlll.linalg import FULL, validate_density
+from qlll.linalg import FULL, PARTIAL, validate_density
 
 
 def test_computational_measurement_is_projective():
@@ -103,14 +102,14 @@ def test_complete_event_dephases_but_keeps_trace():
     # the full-spectrum map is not the identity map: coherences vanish
     m = computational_measurement(2)
     rho = plus_state()
-    out = apply(super_operator_of(complete_event(m)), rho)
+    out = validate_density(super_operator_of(complete_event(m))(rho.matrix), PARTIAL)
     assert np.allclose(out.matrix, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
     assert out.trace == pytest.approx(rho.trace)
 
 
 def test_empty_event_super_operator_annihilates():
     m = computational_measurement(2)
-    out = apply(super_operator_of(empty_event(m)), plus_state())
+    out = validate_density(super_operator_of(empty_event(m))(plus_state().matrix), PARTIAL)
     assert np.allclose(out.matrix, 0.0)
 
 
@@ -119,7 +118,7 @@ def test_super_operator_sums_selected_branches():
     s = super_operator_of(Event.of(m, ["1"]))
     assert isinstance(s, SuperOperator)
     rho = validate_density([[0.25, 0.0], [0.0, 0.75]], FULL)
-    out = apply(s, rho)
+    out = validate_density(s(rho.matrix), PARTIAL)
     assert np.allclose(out.matrix, [[0.0, 0.0], [0.0, 0.75]], atol=1e-12)
     assert out.trace == pytest.approx(0.75)
 

@@ -5,13 +5,10 @@ from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import Event, complete_event
 from qlll.generate import GeneratorKind, GeneratorSpec, generate, zx_measurement_pair, plus_state
 from qlll.independence import (
-    DependenceProfile,
     IndependenceQuery,
     compute_profile,
-    is_dependence_radius,
     is_independent,
     is_neg_independent,
-    nind_index,
 )
 from qlll.linalg import DEFAULT_TOL
 from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
@@ -58,7 +55,6 @@ def test_reference_event_reads_as_independent():
 def test_reference_negative_independence_and_profile():
     a = reference()
     assert is_neg_independent(a, 2, (1,))
-    assert nind_index(a, 2, 1)
     profile = compute_profile(a)
     assert profile.n == 2
     assert profile.s == (0, 1)
@@ -114,16 +110,6 @@ def test_undefined_prefix_counts_as_dependent():
     assert profile.table == {(2, 1): None}
     assert profile.d_min == 1
     assert profile.s == (0, 0)
-    with pytest.raises(ConditionOnZeroError) as exc:
-        nind_index(a, 2, 1)
-    assert "prefix" in exc.value.detail and "target" in exc.value.detail
-
-
-def test_dependence_radius_threshold():
-    profile = DependenceProfile(n=3, s=(0, 0, 1), table={(2, 1): False, (3, 1): True, (3, 2): True}, d_min=1)
-    assert is_dependence_radius(profile, 1)
-    assert is_dependence_radius(profile, 2)
-    assert not is_dependence_radius(profile, 0)
 
 
 def test_profile_json_shape():

@@ -18,12 +18,9 @@ from qlll.linalg import (
     FULL,
     PARTIAL,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     check_dimension,
     dimension_cap,
-    kron,
-    matmul,
     trace,
     validate_density,
 )
@@ -72,14 +69,10 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[np.inf, 0], [0, 1]])
 
 
-def test_matmul_adjoint_trace_kron_against_numpy():
+def test_trace_against_numpy():
     rng = np.random.default_rng(11)
     a = as_matrix(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    b = as_matrix(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    assert np.allclose(matmul(a, b), a @ b)
-    assert np.allclose(adjoint(a), a.conj().T)
     assert trace(a) == pytest.approx(complex(np.trace(a)))
-    assert np.allclose(kron(a, b), np.kron(a, b))
 
 
 def test_validate_density_accepts_pure_qubit():

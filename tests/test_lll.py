@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import build_pool
 from qlll.errors import BadPError, ConditionOnZeroError, ValidationError
 from qlll.events import Event, Measurement, complete_event
 from qlll.generate import (
@@ -13,16 +14,9 @@ from qlll.generate import (
     rotated_qubit_measurement,
     zx_measurement_pair,
 )
-from qlll.linalg import FULL, validate_density
-from qlll.lll import (
-    LLLInstance,
-    check_assumption,
-    check_general,
-    check_lemma,
-    check_symmetric,
-    symmetric_chain_holds,
-)
-from qlll.probability import Test, TestEventAssignment
+from qlll.linalg import FULL, ToleranceConfig, validate_density
+from qlll.lll import LLLInstance, check_general, check_symmetric, symmetric_chain_holds
+from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
 
 P1, P2 = 0.04, 0.09
 
@@ -88,7 +82,6 @@ def test_general_report_json_shape(anchor):
 
 def test_assumption_fails_for_tiny_weights(anchor):
     inst = LLLInstance(anchor, (0.01, 0.01))
-    assert check_assumption(inst) == [False, False]
     report = check_general(inst)
     assert report.assumption_ok == (False, False)
     # without the hypothesis the product bound is not owed, and indeed fails
@@ -96,12 +89,39 @@ def test_assumption_fails_for_tiny_weights(anchor):
     assert not report.bound_ok
 
 
-def test_check_lemma_matches_general(anchor):
-    inst = LLLInstance(anchor, (0.1, 0.1))
-    pairs = check_lemma(inst)
-    assert [x for _, x in pairs] == [0.1, 0.1]
-    assert pairs[0][0] == pytest.approx(P1, abs=1e-9)
-    assert pairs[1][0] == pytest.approx(P2, abs=1e-9)
+def test_lemma_ok_uses_the_check_tolerance(anchor):
+    # the first conditional exceeds its weight by 5e-9: inside a 1e-8
+    # tolerance, outside the default 1e-9
+    inst = LLLInstance(anchor, (P1 - 5e-9, 0.1))
+    loose = check_general(inst, ToleranceConfig(prob=1e-8)).to_json()
+    assert loose["lemma_bounds"][0]["ok"] is True
+    assert check_general(inst).to_json()["lemma_bounds"][0]["ok"] is False
+
+
+def test_one_pass_matches_definitional_route():
+    # check_general and check_symmetric take marginals, lemma conditionals
+    # and the all-avoided probability from one walk of the test; the same
+    # channels in the same order must give exactly the reference values
+    for a in build_pool(40):
+        n = a.n
+        marginals = [pr_test_marginal(a, (i,)) for i in range(1, n + 1)]
+        lemma = []
+        for i in range(1, n + 1):
+            prefix = tuple(range(1, i))
+            try:
+                lemma.append(pr_test_cond(a.with_complemented(prefix), prefix, (i,)))
+            except ConditionOnZeroError:
+                lemma.append(None)
+        all_slots = tuple(range(1, n + 1))
+        lhs = pr_test_marginal(a.with_complemented(all_slots), all_slots)
+
+        report = check_general(LLLInstance(a, (0.5,) * n))
+        assert [r["marginal"] for r in report.assumption_rows] == marginals
+        assert [v for v, _ in report.lemma_bounds] == lemma
+        assert report.lhs == lhs
+        symmetric = check_symmetric(a, p=1.0, profile=report.profile)
+        assert symmetric.p_max == max(marginals)
+        assert symmetric.lhs == lhs
 
 
 def test_symmetric_pass(anchor):
@@ -182,9 +202,6 @@ def test_zero_probability_prefix_reports_none():
     assert report.lemma_bounds[1][0] is None
     doc = report.to_json()
     assert doc["lemma_bounds"][1] == {"value": None, "x": 0.5, "ok": None}
-    with pytest.raises(ConditionOnZeroError) as exc:
-        check_lemma(inst)
-    assert exc.value.detail["slot"] == 2
 
 
 def test_symmetric_on_reference_instance_is_violated():
