@@ -87,7 +87,6 @@ from .probability import (
     pr_state,
     pr_state_cond,
     pr_test_cond,
-    pr_test_joint,
     pr_test_marginal,
 )
 from .serialize import dumps, instance_from_dict, instance_to_dict, load_path, loads

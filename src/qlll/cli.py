@@ -21,7 +21,7 @@ from .errors import (
 )
 from .events import parse_event_seq, resolve_event_spec
 from .generate import GeneratorKind, GeneratorSpec, generate, worked_examples
-from .independence import IndependenceQuery, compute_profile, is_independent, is_neg_independent
+from .independence import IndependenceQuery, _difference, _neg_difference, compute_profile
 from .linalg import DEFAULT_TOL
 from .lll import LLLInstance, check_general, check_symmetric
 from .oracle import enumerate_probability, sample_trajectories
@@ -51,10 +51,6 @@ def _indices(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load(args):
-    return load_path(args.instance)
-
-
 def _need_events(assignment, what: str):
     if assignment is None:
         raise ValidationError(f"{what} needs an 'events' array in the instance file")
@@ -66,7 +62,7 @@ def _state_events(test, text: str):
 
 
 def cmd_prob(args) -> int:
-    test, assignment, _ = _load(args)
+    test, assignment, _ = load_path(args.instance)
     if args.mode == "state":
         if args.seq is None:
             raise ValidationError("state mode needs --seq")
@@ -85,7 +81,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_cond(args) -> int:
-    test, assignment, _ = _load(args)
+    test, assignment, _ = load_path(args.instance)
     if args.K is None or args.L is None:
         raise ValidationError("cond needs --K (conditioning) and --L (target)")
     if args.mode == "state":
@@ -106,30 +102,22 @@ def cmd_cond(args) -> int:
 
 
 def cmd_indep(args) -> int:
-    _, assignment, _ = _load(args)
+    _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "indep")
     K = _indices(args.K)
+    J = _indices(args.J) if args.J is not None and not args.neg else K
+    tol = DEFAULT_TOL
     if args.neg:
-        lhs_a = a.with_complemented(K)
-        lhs = pr_test_cond(lhs_a, K, (args.i,))
-        rhs = pr_test_marginal(a, (args.i,))
-        result = is_neg_independent(a, args.i, K)
-        J = list(K)
+        difference, result = _neg_difference(a, args.i, K, tol)
     else:
-        J_t = _indices(args.J) if args.J is not None else K
-        query = IndependenceQuery(a, args.i, K, J_t)
-        rest = tuple(j for j in K if j not in set(J_t))
-        lhs = pr_test_cond(a, K, (args.i,))
-        rhs = pr_test_cond(a, rest, (args.i,))
-        result = is_independent(query)
-        J = list(J_t)
+        difference, result = _difference(IndependenceQuery(a, args.i, K, J), tol)
     _emit(
         {
             "command": "indep",
-            "query": {"i": args.i, "K": list(K), "J": J, "negated": bool(args.neg)},
+            "query": {"i": args.i, "K": list(K), "J": list(J), "negated": bool(args.neg)},
             "independent": result,
-            "difference": abs(lhs - rhs),
-            "tolerance": DEFAULT_TOL.ind,
+            "difference": difference,
+            "tolerance": tol.ind,
         },
         args.pretty,
     )
@@ -137,7 +125,7 @@ def cmd_indep(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    _, assignment, _ = _load(args)
+    _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "profile")
     profile = compute_profile(a)
     doc = {"command": "profile", **profile.to_json()}
@@ -149,7 +137,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _, assignment, x_file = _load(args)
+    _, assignment, x_file = load_path(args.instance)
     a = _need_events(assignment, "check")
     if args.variant == "general":
         x = tuple(float(v) for v in args.x.split(",")) if args.x else x_file
@@ -176,7 +164,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _, assignment, _ = _load(args)
+    _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "sample")
     K = _indices(args.K) if args.K is not None else a.assigned()
     est = sample_trajectories(a, K, args.n, args.seed)

@@ -113,6 +113,8 @@ class Measurement:
             ) from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Measurement):
             return NotImplemented
         return (

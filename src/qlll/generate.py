@@ -40,7 +40,6 @@ from .probability import (
     pr_state,
     pr_state_cond,
     pr_test_cond,
-    pr_test_joint,
     pr_test_marginal,
 )
 
@@ -486,7 +485,7 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 Check("test Pr[E2], E2=(M2=0)", 0.5, pr_test_marginal(a_e2, (2,), tol)),
                 Check("state Pr[M2=1]", 0.0, pr_state(plus, [e2p], tol)),
                 Check("test Pr[E2'], E2'=(M2=1)", 0.5, pr_test_marginal(a_e2p, (2,), tol)),
-                Check("joint Pr[full(M1), M2=0]", 0.5, pr_test_joint(a_e2, 2, tol)),
+                Check("joint Pr[full(M1), M2=0]", 0.5, pr_test_marginal(a_e2, (1, 2), tol)),
             ),
         )
     )

@@ -40,6 +40,31 @@ class IndependenceQuery:
             raise ValidationError(f"J {list(self.J)} must be a subset of K {list(self.K)}")
 
 
+def _decide(lhs: float, rhs: float, tol: ToleranceConfig) -> tuple[float, bool]:
+    difference = abs(lhs - rhs)
+    return difference, difference <= tol.ind
+
+
+def _difference(query: IndependenceQuery, tol: ToleranceConfig) -> tuple[float, bool]:
+    """``|Pr[E_i | E_K] - Pr[E_i | E_{K-J}]|`` and whether it is within ``tol.ind``."""
+    a, i = query.assignment, query.i
+    rest = tuple(j for j in query.K if j not in set(query.J))
+    return _decide(pr_test_cond(a, query.K, (i,), tol), pr_test_cond(a, rest, (i,), tol), tol)
+
+
+def _neg_difference(
+    a: TestEventAssignment, i: int, K: Iterable[int], tol: ToleranceConfig
+) -> tuple[float, bool]:
+    """``|Pr[E_i | not-E_K] - Pr[E_i]|`` and whether it is within ``tol.ind``."""
+    K = check_index_set(K, a.n)
+    if K and K[-1] >= i:
+        raise ValidationError(
+            f"conditioning slots {list(K)} must lie strictly before target {i}"
+        )
+    flipped = a.with_complemented(K)
+    return _decide(pr_test_cond(flipped, K, (i,), tol), pr_test_marginal(a, (i,), tol), tol)
+
+
 def is_independent(query: IndependenceQuery, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Compare Pr[E_i | E_K] with Pr[E_i | E_{K-J}] at ``tol.ind``.
 
@@ -47,11 +72,7 @@ def is_independent(query: IndependenceQuery, tol: ToleranceConfig = DEFAULT_TOL)
     Raises ``ConditionOnZeroError`` when either conditioning probability is
     numerically zero; the answer is then undefined, not false.
     """
-    a, i = query.assignment, query.i
-    rest = tuple(j for j in query.K if j not in set(query.J))
-    lhs = pr_test_cond(a, query.K, (i,), tol)
-    rhs = pr_test_cond(a, rest, (i,), tol)
-    return abs(lhs - rhs) <= tol.ind
+    return _difference(query, tol)[1]
 
 
 def is_neg_independent(
@@ -62,15 +83,7 @@ def is_neg_independent(
     The conditioning events are the complements of the assigned events at
     *K*; the target event is not complemented.
     """
-    K = check_index_set(K, a.n)
-    if K and K[-1] >= i:
-        raise ValidationError(
-            f"conditioning slots {list(K)} must lie strictly before target {i}"
-        )
-    flipped = a.with_complemented(K)
-    lhs = pr_test_cond(flipped, K, (i,), tol)
-    rhs = pr_test_marginal(a, (i,), tol)
-    return abs(lhs - rhs) <= tol.ind
+    return _neg_difference(a, i, K, tol)[1]
 
 
 @dataclass(frozen=True)

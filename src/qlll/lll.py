@@ -110,7 +110,6 @@ class LLLReport:
     rhs: float
     bound_ok: bool
     profile: DependenceProfile
-    symmetric: SymmetricReport | None = None
     tol: ToleranceConfig = DEFAULT_TOL  # the tolerances the check ran with
 
     def to_json(self) -> dict:
@@ -126,7 +125,7 @@ class LLLReport:
             "bound_ok": self.bound_ok,
             "s": list(self.profile.s),
             "d_min": self.profile.d_min,
-            "symmetric": None if self.symmetric is None else self.symmetric.to_json(),
+            "symmetric": None,  # CHECK_SCHEMA keeps the key; a general check fills no symmetric part
         }
 
 

@@ -48,7 +48,8 @@ def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
     return min(num / denom, 1.0)
 
 
-def _check_sequence(rho: DensityOperator, seq: Sequence[Event]) -> None:
+def _walk(rho: DensityOperator, sigma, seq: Sequence[Event]):
+    """Apply the channels of *seq* to *sigma* in order (first listed first)."""
     for e in seq:
         if e.measurement is None:
             raise ValidationError(
@@ -59,6 +60,8 @@ def _check_sequence(rho: DensityOperator, seq: Sequence[Event]) -> None:
                 f"event on measurement {e.measurement.name!r} has dimension "
                 f"{e.measurement.dim}, state has {rho.dim}"
             )
+        sigma = super_operator_of(e)(sigma)
+    return sigma
 
 
 def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -67,11 +70,20 @@ def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = 
     The first event in *seq* is performed first.  An empty sequence has
     probability ``trace(rho)`` (one for a full state).
     """
-    _check_sequence(rho, seq)
-    sigma = rho.matrix
-    for e in seq:
-        sigma = super_operator_of(e)(sigma)
-    return _clamp_probability(trace(sigma).real, tol)
+    return _clamp_probability(trace(_walk(rho, rho.matrix, seq)).real, tol)
+
+
+def _cond(rho: DensityOperator, given, then, tol: ToleranceConfig, subject: str, **detail) -> float:
+    # One walk: the state after *given* yields the denominator and is then
+    # carried on through *then* for the numerator.
+    sigma = _walk(rho, rho.matrix, given)
+    denom = _clamp_probability(trace(sigma).real, tol)
+    if denom <= tol.prob:
+        raise ConditionOnZeroError(
+            f"{subject} probability {denom!r} <= {tol.prob!r}", denominator=denom, **detail
+        )
+    num = _clamp_probability(trace(_walk(rho, sigma, then)).real, tol)
+    return _ratio(num, denom, tol)
 
 
 def pr_state_cond(
@@ -82,19 +94,15 @@ def pr_state_cond(
 ) -> float:
     """Probability of *then* happening after *given*, conditioned on *given*.
 
+    The state is walked once: the denominator is read after the *given*
+    channels, and the same state continues through *then* for the numerator.
+
     Raises
     ------
     ConditionOnZeroError
         If ``pr_state(rho, given)`` is at most ``tol.prob``.
     """
-    denom = pr_state(rho, given, tol)
-    if denom <= tol.prob:
-        raise ConditionOnZeroError(
-            f"conditioning sequence has probability {denom!r} <= {tol.prob!r}",
-            denominator=denom,
-        )
-    num = pr_state(rho, list(given) + list(then), tol)
-    return _ratio(num, denom, tol)
+    return _cond(rho, given, then, tol, "conditioning sequence has")
 
 
 @dataclass(frozen=True)
@@ -203,14 +211,6 @@ def _padded_sequence(a: TestEventAssignment, K: tuple[int, ...]) -> list[Event]:
     return seq
 
 
-def pr_test_joint(a: TestEventAssignment, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Probability of the first *k* assigned events in slot order."""
-    if not (0 <= k <= a.n):
-        raise ValidationError(f"prefix length {k} outside 0..{a.n}")
-    seq = [a.event(i) for i in range(1, k + 1)]
-    return pr_state(a.test.rho, seq, tol)
-
-
 def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Marginal probability of the events at slots *K*.
 
@@ -231,7 +231,9 @@ def pr_test_cond(
     """Conditional probability of the events at *L* given those at *K*.
 
     Requires ``max(K) < min(L)``; an empty *K* denotes the unconditional
-    marginal (denominator one).
+    marginal (denominator one).  The padded sequence of ``K + L`` is walked
+    once: its first ``max(K)`` slots give the conditioning marginal (the
+    denominator) partway through, and the walk continues to the numerator.
 
     Raises
     ------
@@ -248,13 +250,7 @@ def pr_test_cond(
             K=list(K),
             L=list(L),
         )
-    denom = pr_test_marginal(a, K, tol)
-    if denom <= tol.prob:
-        raise ConditionOnZeroError(
-            f"conditioning events at slots {list(K)} have probability "
-            f"{denom!r} <= {tol.prob!r}",
-            denominator=denom,
-            K=list(K),
-        )
-    num = pr_test_marginal(a, K + L, tol)
-    return _ratio(num, denom, tol)
+    seq = _padded_sequence(a, K + L)
+    cut = K[-1] if K else 0
+    subject = f"conditioning events at slots {list(K)} have"
+    return _cond(a.test.rho, seq[:cut], seq[cut:], tol, subject, K=list(K))

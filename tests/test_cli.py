@@ -7,6 +7,7 @@ import pytest
 
 from test_lll import two_qubit_instance
 from qlll import cli
+from qlll.events import SuperOperator
 from qlll.generate import Check, WorkedExample
 from qlll.schemas import (
     COMMAND_SCHEMAS,
@@ -267,3 +268,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"] is True
+
+
+def test_indep_neg_evaluates_each_probability_once(capsys, ref_file, monkeypatch):
+    # one conditional walk (2 channels) and one marginal walk (2 channels)
+    calls = []
+    original = SuperOperator.__call__
+
+    def counting(self, sigma):
+        calls.append(1)
+        return original(self, sigma)
+
+    monkeypatch.setattr(SuperOperator, "__call__", counting)
+    code, doc = run(capsys, "indep", "--instance", ref_file, "--neg", "--i", "2", "--K", "1")
+    assert code == 0
+    assert len(calls) == 4
+
+
+def test_indep_neg_rejects_condition_after_target(capsys, ref_file):
+    code, doc = run(capsys, "indep", "--instance", ref_file, "--neg", "--i", "1", "--K", "2")
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from helpers import build_pool
@@ -130,3 +131,19 @@ def test_dependent_chain_has_a_dependent_pair():
     profile = compute_profile(a)
     assert any(v is not True for v in profile.table.values())
     assert profile.d_min >= 1
+
+
+def test_profile_never_compares_kraus_arrays(monkeypatch):
+    # every complemented prefix reuses the test's own measurement objects, so
+    # the slot check in TestEventAssignment is settled by identity
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=6, local_dim=3, seed=7))
+    calls = []
+    original = np.array_equal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    compute_profile(a)
+    assert calls == []

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+
 from qlll.errors import (
     BadOrderingError,
     ConditionOnZeroError,
@@ -10,7 +12,7 @@ from qlll.errors import (
     MissingAssignmentError,
     ValidationError,
 )
-from qlll.events import Event, complement, complete_event, empty_event
+from qlll.events import Event, SuperOperator, complement, complete_event, empty_event
 from qlll.generate import (
     computational_measurement,
     ginibre_state,
@@ -19,7 +21,7 @@ from qlll.generate import (
     random_projective_measurement,
     zx_measurement_pair,
 )
-from qlll.linalg import FULL, PARTIAL, validate_density
+from qlll.linalg import DEFAULT_TOL, FULL, PARTIAL, validate_density
 from qlll.probability import (
     Test,
     TestEventAssignment,
@@ -27,7 +29,6 @@ from qlll.probability import (
     pr_state,
     pr_state_cond,
     pr_test_cond,
-    pr_test_joint,
     pr_test_marginal,
 )
 
@@ -116,8 +117,8 @@ def test_joint_prefix(zx):
         Test(minus_state(), (m1, m2)),
         {1: Event.of(m1, ["1"]), 2: Event.of(m2, ["0"])},
     )
-    assert pr_test_joint(a, 2) == pytest.approx(0.25, abs=1e-9)
-    assert pr_test_joint(a, 1) == pytest.approx(0.5, abs=1e-9)
+    assert pr_test_marginal(a, (1, 2)) == pytest.approx(0.25, abs=1e-9)
+    assert pr_test_marginal(a, (1,)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_test_requires_full_state(zx):
@@ -211,3 +212,118 @@ def test_sequence_probability_stays_in_unit_interval(seed):
     ]
     p = pr_state(rho, seq)
     assert -1e-12 <= p <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The one-walk conditional against the two-walk definition
+
+
+def _subsets(items):
+    items = tuple(items)
+    return [tuple(x for b, x in enumerate(items) if mask >> b & 1) for mask in range(1 << len(items))]
+
+
+def _ordered_pairs(n):
+    """Every (K, L) with K before L and L nonempty: prefix and gapped K alike."""
+    for K in _subsets(range(1, n + 1)):
+        start = K[-1] + 1 if K else 1
+        for L in _subsets(range(start, n + 1)):
+            if L:
+                yield K, L
+
+
+def _two_walk_test_cond(a, K, L, tol=DEFAULT_TOL):
+    denom = pr_test_marginal(a, K, tol)
+    if denom <= tol.prob:
+        raise ConditionOnZeroError(
+            f"conditioning events at slots {list(K)} have probability "
+            f"{denom!r} <= {tol.prob!r}",
+            denominator=denom,
+            K=list(K),
+        )
+    return min(pr_test_marginal(a, K + L, tol) / denom, 1.0)
+
+
+def _two_walk_state_cond(rho, given, then, tol=DEFAULT_TOL):
+    denom = pr_state(rho, given, tol)
+    if denom <= tol.prob:
+        raise ConditionOnZeroError(
+            f"conditioning sequence has probability {denom!r} <= {tol.prob!r}",
+            denominator=denom,
+        )
+    return min(pr_state(rho, list(given) + list(then), tol) / denom, 1.0)
+
+
+def _same_outcome(one_walk, two_walk):
+    """Both routes return the same float, or both refuse with the same error."""
+    try:
+        expected = two_walk()
+    except ConditionOnZeroError as ref:
+        with pytest.raises(ConditionOnZeroError) as exc:
+            one_walk()
+        assert exc.value.detail == ref.detail
+        assert str(exc.value) == str(ref)
+        return "zero"
+    assert one_walk() == expected
+    return "value"
+
+
+@pytest.fixture(scope="module")
+def pool40():
+    return helpers.build_pool(40)
+
+
+def _variants(a):
+    # an empty event at slot 1 makes every K that holds slot 1 condition on zero
+    return (
+        a,
+        a.with_complemented(a.assigned()),
+        a.with_event(1, empty_event(a.test.measurements[0])),
+    )
+
+
+def test_test_cond_matches_two_walk_definition(pool40):
+    seen = set()
+    for a0 in pool40:
+        for a in _variants(a0):
+            for K, L in _ordered_pairs(a.n):
+                seen.add(_same_outcome(
+                    lambda: pr_test_cond(a, K, L), lambda: _two_walk_test_cond(a, K, L)
+                ))
+    assert seen == {"zero", "value"}
+
+
+def test_state_cond_matches_two_walk_definition(pool40):
+    seen = set()
+    for a0 in pool40:
+        for a in _variants(a0):
+            rho = a.test.rho
+            seq = [a.event(i) for i in a.assigned()]
+            for cut in range(len(seq) + 1):
+                for then in _subsets(seq[cut:]):
+                    given = seq[:cut]
+                    seen.add(_same_outcome(
+                        lambda: pr_state_cond(rho, given, then),
+                        lambda: _two_walk_state_cond(rho, given, then),
+                    ))
+    assert seen == {"zero", "value"}
+
+
+def test_test_cond_applies_max_L_channels(pool40, monkeypatch):
+    calls = []
+    original = SuperOperator.__call__
+
+    def counting(self, sigma):
+        calls.append(1)
+        return original(self, sigma)
+
+    monkeypatch.setattr(SuperOperator, "__call__", counting)
+    for a in (v for a0 in pool40 for v in _variants(a0)):
+        for K, L in _ordered_pairs(a.n):
+            calls.clear()
+            try:
+                pr_test_cond(a, K, L)
+            except ConditionOnZeroError:
+                assert len(calls) == (K[-1] if K else 0)
+                continue
+            assert len(calls) == L[-1]
