@@ -16,7 +16,6 @@ from .errors import (
     DimensionCapError,
     DimensionMismatchError,
     EnumerationCapError,
-    GiveUpError,
     InternalConsistencyError,
     MissingAssignmentError,
     NotCompleteError,

@@ -51,6 +51,13 @@ def _indices(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
+def _weights(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(piece) for piece in text.split(","))
+    except ValueError:
+        raise ParseError(f"expected comma-separated numbers, got {text!r}")
+
+
 def _need_events(assignment, what: str):
     if assignment is None:
         raise ValidationError(f"{what} needs an 'events' array in the instance file")
@@ -140,7 +147,7 @@ def cmd_check(args) -> int:
     _, assignment, x_file = load_path(args.instance)
     a = _need_events(assignment, "check")
     if args.variant == "general":
-        x = tuple(float(v) for v in args.x.split(",")) if args.x else x_file
+        x = _weights(args.x) if args.x else x_file
         if x is None:
             raise ValidationError("general check needs weights: --x or an 'x' array in the file")
         report = check_general(LLLInstance(a, x))
@@ -205,7 +212,7 @@ def cmd_gen(args) -> int:
         outcomes=args.outcomes,
     )
     a = generate(spec)
-    x = tuple(float(v) for v in args.x.split(",")) if args.x else None
+    x = _weights(args.x) if args.x else None
     text = dump_instance(a, x=x, pretty=args.pretty)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

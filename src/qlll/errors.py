@@ -104,10 +104,6 @@ class EnumerationCapError(QlllError):
     code = "EnumerationCapExceeded"
 
 
-class GiveUpError(QlllError):
-    code = "GaveUp"
-
-
 class InternalConsistencyError(QlllError):
     """A computed quantity violates a bound that is a theorem; indicates a bug."""
 

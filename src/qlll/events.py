@@ -137,41 +137,27 @@ class Measurement:
 class Event:
     """Outcome of ``measurement`` lies in ``outcomes``.
 
-    Either ``measurement`` is set (the usual, resolved form) or ``index``
-    holds a 1-based position to be resolved against a test's measurement
-    list later.  Outcome sets are stored as frozensets so equality is
-    canonical regardless of declaration order.
+    Outcome sets are stored as frozensets so equality is canonical
+    regardless of declaration order.
     """
 
-    measurement: Measurement | None
+    measurement: Measurement
     outcomes: frozenset[str]
-    index: int | None = None
 
     def __post_init__(self):
-        if self.measurement is None and self.index is None:
-            raise ValidationError("an event needs a measurement or a 1-based index")
-        if self.index is not None and self.index < 1:
-            raise ValidationError(f"event index must be 1-based, got {self.index}")
+        if not isinstance(self.measurement, Measurement):
+            raise ValidationError(f"an event needs a Measurement, got {self.measurement!r}")
         object.__setattr__(self, "outcomes", frozenset(str(o) for o in self.outcomes))
-        if self.measurement is not None:
-            stray = self.outcomes - set(self.measurement.spectrum)
-            if stray:
-                raise ValidationError(
-                    f"outcomes {sorted(stray)} are not in the spectrum of "
-                    f"measurement {self.measurement.name!r}"
-                )
+        stray = self.outcomes - set(self.measurement.spectrum)
+        if stray:
+            raise ValidationError(
+                f"outcomes {sorted(stray)} are not in the spectrum of "
+                f"measurement {self.measurement.name!r}"
+            )
 
     @classmethod
     def of(cls, measurement: Measurement, outcomes: Iterable[str]) -> "Event":
         return cls(measurement=measurement, outcomes=frozenset(outcomes))
-
-    @classmethod
-    def at(cls, index: int, outcomes: Iterable[str]) -> "Event":
-        return cls(measurement=None, outcomes=frozenset(outcomes), index=index)
-
-    @property
-    def resolved(self) -> bool:
-        return self.measurement is not None
 
     @property
     def is_empty(self) -> bool:
@@ -179,29 +165,14 @@ class Event:
 
     @property
     def is_complete(self) -> bool:
-        if self.measurement is None:
-            raise ValidationError("resolve the event before asking for completeness")
         return self.outcomes == set(self.measurement.spectrum)
 
-    def resolve(self, measurements: Sequence[Measurement]) -> "Event":
-        """Return the resolved form of an index-form event."""
-        if self.measurement is not None:
-            return self
-        if not (1 <= self.index <= len(measurements)):
-            raise ValidationError(
-                f"event index {self.index} outside 1..{len(measurements)}"
-            )
-        return Event.of(measurements[self.index - 1], self.outcomes)
-
     def sorted_outcomes(self) -> list[str]:
-        if self.measurement is not None:
-            order = {m: i for i, m in enumerate(self.measurement.spectrum)}
-            return sorted(self.outcomes, key=order.__getitem__)
-        return sorted(self.outcomes)
+        order = {m: i for i, m in enumerate(self.measurement.spectrum)}
+        return sorted(self.outcomes, key=order.__getitem__)
 
     def __repr__(self) -> str:
-        where = self.measurement.name if self.measurement is not None else f"#{self.index}"
-        return f"Event({where} in {self.sorted_outcomes()})"
+        return f"Event({self.measurement.name} in {self.sorted_outcomes()})"
 
 
 def complete_event(measurement: Measurement) -> Event:
@@ -214,22 +185,16 @@ def empty_event(measurement: Measurement) -> Event:
 
 def complement(event: Event) -> Event:
     """Event on the same measurement selecting the rest of the spectrum."""
-    if event.measurement is None:
-        raise ValidationError("resolve the event against a test before complementing")
     return Event.of(event.measurement, set(event.measurement.spectrum) - event.outcomes)
 
 
 def union(a: Event, b: Event) -> Event:
-    if a.measurement is not None and b.measurement is not None:
-        if a.measurement != b.measurement:
-            raise DifferentMeasurementsError(
-                "union requires events of the same measurement, got "
-                f"{a.measurement.name!r} and {b.measurement.name!r}"
-            )
-        return Event.of(a.measurement, a.outcomes | b.outcomes)
-    if a.measurement is None and b.measurement is None and a.index == b.index:
-        return Event.at(a.index, a.outcomes | b.outcomes)
-    raise DifferentMeasurementsError("union requires events of the same measurement")
+    if a.measurement != b.measurement:
+        raise DifferentMeasurementsError(
+            "union requires events of the same measurement, got "
+            f"{a.measurement.name!r} and {b.measurement.name!r}"
+        )
+    return Event.of(a.measurement, a.outcomes | b.outcomes)
 
 
 @dataclass(frozen=True)
@@ -247,8 +212,6 @@ class SuperOperator:
 
 
 def super_operator_of(event: Event) -> SuperOperator:
-    if event.measurement is None:
-        raise ValidationError("resolve the event against a test before applying it")
     m = event.measurement
     kraus = tuple(m.kraus[label] for label in m.spectrum if label in event.outcomes)
     return SuperOperator(kraus=kraus, dim=m.dim)
@@ -298,7 +261,7 @@ def parse_event_seq(text: str) -> list[tuple[int, str | frozenset[str]]]:
 
 
 def resolve_event_spec(measurements: Sequence[Measurement], index: int, spec) -> Event:
-    """Turn a parsed ``(index, spec)`` pair into a resolved event."""
+    """Turn a parsed ``(index, spec)`` pair into an event of ``measurements[index - 1]``."""
     if not (1 <= index <= len(measurements)):
         raise ParseError(f"event references M{index} but the test has {len(measurements)} measurements")
     m = measurements[index - 1]

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import GiveUpError, ValidationError
+from .errors import ValidationError
 from .events import Event, Measurement, complement, complete_event
 from .linalg import DEFAULT_TOL, FULL, DensityOperator, ToleranceConfig, check_dimension, validate_density
 from .lll import LLLInstance, check_general
@@ -221,7 +221,18 @@ def _reference_instance() -> TestEventAssignment:
     )
 
 
-def _gen_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> TestEventAssignment:
+# what a random family builds: its measurements (slot order) and its state
+_Family = tuple[list[Measurement], DensityOperator]
+
+
+def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> DensityOperator:
+    state = np.array([[1.0]], dtype=complex)
+    for _ in range(count):
+        state = np.kron(state, ginibre_state(local_dim, rng).matrix)
+    return validate_density(state, FULL)
+
+
+def _gen_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
     count = spec.n
     check_dimension(spec.local_dim**count)
     measurements = []
@@ -233,18 +244,10 @@ def _gen_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> TestEventAssig
             for lab in local.spectrum
         }
         measurements.append(Measurement(f"M{i}", kraus))
-    state = np.array([[1.0]], dtype=complex)
-    for _ in range(count):
-        state = np.kron(state, ginibre_state(spec.local_dim, rng).matrix)
-    test = Test(validate_density(state, FULL), tuple(measurements))
-    events = {
-        i: Event.of(measurements[i - 1], _random_proper_subset(measurements[i - 1].spectrum, rng))
-        for i in range(1, spec.n + 1)
-    }
-    return TestEventAssignment(test, events)
+    return measurements, _product_state(count, spec.local_dim, rng)
 
 
-def _gen_window(spec: GeneratorSpec, rng: np.random.Generator) -> TestEventAssignment:
+def _gen_window(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
     if spec.local_dim > 9:
         raise ValidationError("sliding-window labels need local_dim <= 9")
     count = spec.n + spec.window - 1
@@ -261,74 +264,76 @@ def _gen_window(spec: GeneratorSpec, rng: np.random.Generator) -> TestEventAssig
             label = "".join(str(c) for c in combo)
             kraus[label] = _embed(op, i - 1, spec.window, count, spec.local_dim)
         measurements.append(Measurement(f"M{i}", kraus))
-    state = np.array([[1.0]], dtype=complex)
-    for _ in range(count):
-        state = np.kron(state, ginibre_state(spec.local_dim, rng).matrix)
-    test = Test(validate_density(state, FULL), tuple(measurements))
-    events = {
-        i: Event.of(measurements[i - 1], _random_proper_subset(measurements[i - 1].spectrum, rng))
-        for i in range(1, spec.n + 1)
-    }
-    return TestEventAssignment(test, events)
+    return measurements, _product_state(count, spec.local_dim, rng)
 
 
-def _gen_chain(spec: GeneratorSpec, rng: np.random.Generator) -> TestEventAssignment:
+def _gen_chain(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
     check_dimension(spec.local_dim)
-    measurements = tuple(
+    measurements = [
         rotated_qubit_measurement((i - 1) * math.pi / 8, f"M{i}", spec.local_dim)
         for i in range(1, spec.n + 1)
-    )
-    test = Test(ginibre_state(spec.local_dim, rng), measurements)
-    events = {
-        i: Event.of(measurements[i - 1], {str(int(rng.integers(spec.local_dim)))})
-        for i in range(1, spec.n + 1)
-    }
-    return TestEventAssignment(test, events)
+    ]
+    return measurements, ginibre_state(spec.local_dim, rng)
 
 
-def _gen_single_space(
-    spec: GeneratorSpec,
-    rng: np.random.Generator,
-    builder: Callable[[int, int, np.random.Generator, str], Measurement],
-) -> TestEventAssignment:
+def _gen_single_space(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
     check_dimension(spec.local_dim)
+    projective = spec.kind is GeneratorKind.RANDOM_PROJECTIVE
+    builder = random_projective_measurement if projective else random_povm_measurement
     measurements = []
     for i in range(1, spec.n + 1):
-        if builder is random_projective_measurement:
+        if projective:
             k = _spectrum_size(spec, rng, spec.local_dim)
         elif spec.outcomes is not None:
             k = spec.outcomes
         else:
             k = int(rng.integers(2, 4))
         measurements.append(builder(spec.local_dim, k, rng, f"M{i}"))
-    test = Test(ginibre_state(spec.local_dim, rng), tuple(measurements))
-    events = {
-        i: Event.of(measurements[i - 1], _random_proper_subset(measurements[i - 1].spectrum, rng))
-        for i in range(1, spec.n + 1)
-    }
-    return TestEventAssignment(test, events)
+    return measurements, ginibre_state(spec.local_dim, rng)
+
+
+# each family draws its measurements from the rng, then its state
+_FAMILIES = {
+    GeneratorKind.TENSOR_PRODUCT: _gen_tensor,
+    GeneratorKind.SLIDING_WINDOW: _gen_window,
+    GeneratorKind.DEPENDENT_CHAIN: _gen_chain,
+    GeneratorKind.RANDOM_PROJECTIVE: _gen_single_space,
+    GeneratorKind.RANDOM_POVM: _gen_single_space,
+}
 
 
 def generate(spec: GeneratorSpec) -> TestEventAssignment:
-    """Build the instance described by *spec* (deterministic in ``spec.seed``)."""
-    rng = np.random.default_rng(spec.seed)
+    """Build the instance described by *spec* (deterministic in ``spec.seed``).
+
+    Every random family draws its measurements, then its state, then one
+    event per slot: a single outcome for ``dependent-chain``, a random
+    proper subset of the spectrum otherwise.
+    """
     if spec.kind is GeneratorKind.PAPER_EXAMPLES:
         return _reference_instance()
-    if spec.kind is GeneratorKind.TENSOR_PRODUCT:
-        return _gen_tensor(spec, rng)
-    if spec.kind is GeneratorKind.SLIDING_WINDOW:
-        return _gen_window(spec, rng)
-    if spec.kind is GeneratorKind.DEPENDENT_CHAIN:
-        return _gen_chain(spec, rng)
-    if spec.kind is GeneratorKind.RANDOM_PROJECTIVE:
-        return _gen_single_space(spec, rng, random_projective_measurement)
-    if spec.kind is GeneratorKind.RANDOM_POVM:
-        return _gen_single_space(spec, rng, random_povm_measurement)
-    raise ValidationError(f"unknown generator kind {spec.kind!r}")
+    rng = np.random.default_rng(spec.seed)
+    measurements, state = _FAMILIES[spec.kind](spec, rng)
+    events = {}
+    for i, m in enumerate(measurements, start=1):
+        if spec.kind is GeneratorKind.DEPENDENT_CHAIN:
+            outcomes = {m.spectrum[int(rng.integers(len(m.spectrum)))]}
+        else:
+            outcomes = _random_proper_subset(m.spectrum, rng)
+        events[i] = Event.of(m, outcomes)
+    return TestEventAssignment(Test(state, tuple(measurements)), events)
 
 
 # ---------------------------------------------------------------------------
 # assumption-satisfying instances
+
+
+def _drop_outcome(
+    a: TestEventAssignment, slot: int, rng: np.random.Generator
+) -> TestEventAssignment:
+    """Remove one uniformly drawn outcome from the event at *slot*."""
+    outcomes = a.event(slot).sorted_outcomes()
+    dropped = outcomes[int(rng.integers(len(outcomes)))]
+    return a.with_event(slot, Event.of(a.event(slot).measurement, set(outcomes) - {dropped}))
 
 
 def rarefy_events(
@@ -343,53 +348,33 @@ def rarefy_events(
         worst = max(marginals, key=marginals.get)
         if marginals[worst] <= p_cap:
             return a
-        outcomes = a.event(worst).sorted_outcomes()
         # an empty event has marginal 0, so progress is guaranteed
-        dropped = outcomes[int(rng.integers(len(outcomes)))]
-        a = a.with_event(worst, Event.of(a.event(worst).measurement, set(outcomes) - {dropped}))
+        a = _drop_outcome(a, worst, rng)
 
 
 def generate_assumption_satisfying(
     spec: GeneratorSpec,
     x: Sequence[float],
-    max_attempts: int = 32,
-    allow_shrink: bool = True,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[LLLInstance, int]:
     """Produce an instance of *spec*'s family whose measured profile satisfies
     the general hypothesis for the weights *x*.
 
-    Rejection-samples fresh seeds and, when allowed, shrinks offending event
-    outcome sets (an empty event has probability zero and satisfies any
-    bound, so each attempt terminates).  Returns the instance and the number
-    of rejected candidates.
-
-    Raises
-    ------
-    GiveUpError
-        After *max_attempts* fresh seeds without success.
+    Starts from ``generate(spec)`` and, while a hypothesis row fails, drops a
+    random outcome from the first failing slot's event.  An empty event has
+    probability zero and satisfies any bound, so the search terminates.
+    Returns the instance and the number of rejected candidates.
     """
+    a = generate(spec)
+    rng = np.random.default_rng(spec.seed + 7919)
     rejections = 0
-    for attempt in range(max_attempts):
-        a = generate(replace(spec, seed=spec.seed + attempt))
-        rng = np.random.default_rng(spec.seed + 7919 * (attempt + 1))
-        while True:
-            inst = LLLInstance(a, tuple(x))
-            failing = [r for r in check_general(inst, tol).assumption_rows if not r["ok"]]
-            if not failing:
-                return inst, rejections
-            rejections += 1
-            if not allow_shrink:
-                break
-            slot = failing[0]["i"]
-            outcomes = a.event(slot).sorted_outcomes()
-            dropped = outcomes[int(rng.integers(len(outcomes)))]
-            a = a.with_event(slot, Event.of(a.event(slot).measurement, set(outcomes) - {dropped}))
-    raise GiveUpError(
-        f"no assumption-satisfying instance after {max_attempts} attempts",
-        attempts=max_attempts,
-        rejections=rejections,
-    )
+    while True:
+        inst = LLLInstance(a, tuple(x))
+        failing = [r for r in check_general(inst, tol).assumption_rows if not r["ok"]]
+        if not failing:
+            return inst, rejections
+        rejections += 1
+        a = _drop_outcome(a, failing[0]["i"], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,24 @@ class Trajectory(NamedTuple):
     outcomes: tuple[str, ...]
 
 
-def _horizon_size(test: Test, horizon: int) -> int:
-    size = 1
-    for m in test.measurements[:horizon]:
-        size *= len(m.spectrum)
-    return size
+def _trajectories(test: Test, choices: list, cap: int):
+    """Yield ``(outcomes, probability)`` for every outcome tuple drawn from
+    *choices* (one label list per slot, starting at slot 1).
+
+    The cap applies to the full outcome grid of the first ``len(choices)``
+    measurements, whatever the choices exclude.
+    """
+    grid = math.prod(len(m.spectrum) for m in test.measurements[: len(choices)])
+    if grid > cap:
+        raise EnumerationCapError(
+            f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
+        )
+    rho = test.rho.matrix
+    for combo in itertools.product(*choices):
+        w = test.measurements[0].kraus[combo[0]]
+        for i, label in enumerate(combo[1:], start=2):
+            w = test.measurements[i - 1].kraus[label] @ w
+        yield combo, float(np.trace(w @ rho @ w.conj().T).real)
 
 
 def enumerate_probability(
@@ -60,31 +73,14 @@ def enumerate_probability(
     K = check_index_set(K, a.n)
     if not K:
         return 1.0
-    horizon = K[-1]
-    grid = _horizon_size(a.test, horizon)
-    if grid > cap:
-        raise EnumerationCapError(
-            f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
-        )
-    chosen = set(K)
-    label_choices = []
-    for i in range(1, horizon + 1):
-        m = a.test.measurements[i - 1]
-        if i in chosen:
-            allowed = [lab for lab in m.spectrum if lab in a.event(i).outcomes]
-            if not allowed:
-                return 0.0
-        else:
-            allowed = list(m.spectrum)
-        label_choices.append(allowed)
-
-    rho = a.test.rho.matrix
+    choices = [
+        [lab for lab in m.spectrum if i not in K or lab in a.event(i).outcomes]
+        for i, m in enumerate(a.test.measurements[: K[-1]], start=1)
+    ]
+    # left-to-right float sum; built-in sum() is compensated from Python 3.12
     total = 0.0
-    for combo in itertools.product(*label_choices):
-        w = a.test.measurements[0].kraus[combo[0]]
-        for i, label in enumerate(combo[1:], start=2):
-            w = a.test.measurements[i - 1].kraus[label] @ w
-        total += float(np.trace(w @ rho @ w.conj().T).real)
+    for _, p in _trajectories(a.test, choices, cap):
+        total += p
     if total < -tol.prob or total > 1.0 + tol.prob:
         raise InternalConsistencyError(
             f"enumerated probability {total!r} strays outside [0,1]", value=total
@@ -99,20 +95,8 @@ def trajectory_distribution(
 
     The probabilities sum to one up to rounding; the suite asserts this.
     """
-    grid = _horizon_size(test, test.n)
-    if grid > cap:
-        raise EnumerationCapError(
-            f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
-        )
-    rho = test.rho.matrix
-    out = []
-    for combo in itertools.product(*(m.spectrum for m in test.measurements)):
-        w = test.measurements[0].kraus[combo[0]]
-        for i, label in enumerate(combo[1:], start=2):
-            w = test.measurements[i - 1].kraus[label] @ w
-        p = float(np.trace(w @ rho @ w.conj().T).real)
-        out.append((Trajectory(outcomes=tuple(combo)), p))
-    return out
+    choices = [m.spectrum for m in test.measurements]
+    return [(Trajectory(outcomes=combo), p) for combo, p in _trajectories(test, choices, cap)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +165,6 @@ def sample_trajectories(
     K: Iterable[int],
     n_samples: int,
     seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
     chunk: int = 50_000,
 ) -> SampleEstimate:
     """Monte Carlo estimate of the marginal probability of the events at *K*.

@@ -51,10 +51,6 @@ def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
 def _walk(rho: DensityOperator, sigma, seq: Sequence[Event]):
     """Apply the channels of *seq* to *sigma* in order (first listed first)."""
     for e in seq:
-        if e.measurement is None:
-            raise ValidationError(
-                "sequence probabilities need resolved events; call Event.resolve first"
-            )
         if e.measurement.dim != rho.dim:
             raise DimensionMismatchError(
                 f"event on measurement {e.measurement.name!r} has dimension "
@@ -147,26 +143,25 @@ class TestEventAssignment:
     """Events assigned to (some) slots of a test.
 
     Each assigned event must be defined by the measurement sitting at its
-    slot; index-form events are resolved here.
+    slot.
     """
 
     __test__ = False
 
     def __init__(self, test: Test, events: Mapping[int, Event]):
         self.test = test
-        resolved: dict[int, Event] = {}
+        checked: dict[int, Event] = {}
         for i, e in events.items():
             i = int(i)
             if not (1 <= i <= test.n):
                 raise ValidationError(f"assignment index {i} outside 1..{test.n}")
-            e = e.resolve(test.measurements)
             if e.measurement != test.measurements[i - 1]:
                 raise ValidationError(
                     f"event at slot {i} is defined by measurement "
                     f"{e.measurement.name!r}, expected {test.measurements[i - 1].name!r}"
                 )
-            resolved[i] = e
-        self.events = dict(sorted(resolved.items()))
+            checked[i] = e
+        self.events = dict(sorted(checked.items()))
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .events import Event, Measurement
+from .events import Event, Measurement, resolve_event_spec
 from .linalg import DEFAULT_TOL, FULL, ToleranceConfig, validate_density
 from .probability import Test, TestEventAssignment
 
@@ -138,7 +138,7 @@ def instance_from_dict(
                 raise ParseError(f"event 'in' must be an array of outcome labels")
             if idx in events:
                 raise ParseError(f"duplicate event for measurement {idx}")
-            events[idx] = Event.at(idx, labels)
+            events[idx] = resolve_event_spec(measurements, idx, frozenset(labels))
         assignment = TestEventAssignment(test, events)
 
     x = None

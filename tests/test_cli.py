@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -149,6 +151,13 @@ def test_check_general_without_weights(capsys, ref_file):
     assert doc["error"]["type"] == "Validation"
 
 
+def test_check_general_non_numeric_weights_exit_2(capsys, ref_file):
+    code, doc = run(capsys, "check", "--instance", ref_file, "--x", "0.4,abc")
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert "abc" in doc["error"]["message"]
+
+
 def test_check_symmetric(capsys, ref_file, tensor_file):
     code, doc = run(capsys, "check", "--instance", tensor_file, "--variant", "symmetric")
     assert code == 0
@@ -227,6 +236,14 @@ def test_gen_stdout_and_file(capsys, tmp_path):
     assert json.loads(out.read_text()) == doc
 
 
+def test_gen_non_numeric_weights_exit_2(capsys):
+    code, doc = run(capsys, "gen", "--kind", "random-povm", "--n", "2", "--seed", "4",
+                    "--x", "0.1,zz")
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert "zz" in doc["error"]["message"]
+
+
 def test_gen_respects_dimension_cap(capsys, monkeypatch):
     monkeypatch.setenv("QLLL_DIM_CAP", "2")
     code, doc = run(capsys, "gen", "--kind", "tensor-product", "--n", "2", "--seed", "0")
@@ -240,6 +257,17 @@ def test_unreadable_instance_exits_2(capsys, tmp_path):
     code, doc = run(capsys, "prob", "--instance", str(path), "--K", "1")
     assert code == 2
     assert doc["error"]["type"] == "Parse"
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_out_of_range_event_index_exits_2(capsys, ref_file, tmp_path, index):
+    doc = ref_doc(ref_file)  # two measurements
+    doc["events"][0]["measurement"] = index
+    path = tmp_path / "bad-index.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    assert code == 2
+    assert out["error"]["type"] == "Parse"
 
 
 def test_test_mode_requires_events(capsys, ref_file, tmp_path):
@@ -261,10 +289,14 @@ def test_pretty_output(capsys, ref_file):
 
 
 def test_module_entry_point():
+    # the child imports the same qlll as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qlll.cli", "paper-examples"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"] is True

@@ -69,23 +69,21 @@ def test_measurement_equality_and_hash():
 def test_event_forms_and_outcomes():
     m = computational_measurement(3, "Z3")
     ev = Event.of(m, ["2", "0"])
-    assert ev.resolved
     assert ev.sorted_outcomes() == ["0", "2"]
     assert not ev.is_empty and not ev.is_complete
     assert complete_event(m).is_complete
     assert empty_event(m).is_empty
-
-    deferred = Event.at(2, ["1"])
-    assert not deferred.resolved
-    assert deferred.resolve([computational_measurement(2), m]).measurement is m
-    with pytest.raises(ValidationError):
-        deferred.resolve([computational_measurement(2)])
 
 
 def test_event_rejects_stray_outcomes():
     m = computational_measurement(2)
     with pytest.raises(ValidationError):
         Event.of(m, ["7"])
+
+
+def test_event_needs_a_measurement():
+    with pytest.raises(ValidationError, match="Measurement"):
+        Event(None, frozenset({"0"}))
 
 
 def test_complement_and_union():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import build_pool
-from qlll.errors import ParseError
+from qlll.errors import ParseError, ValidationError
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 from qlll.schemas import INSTANCE_SCHEMA
 from qlll.serialize import (
@@ -103,6 +103,14 @@ def test_stray_event_outcome_rejected():
     with pytest.raises(Exception) as exc:
         loads(json.dumps(doc))
     assert "zebra" in str(exc.value)
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_out_of_range_event_index_rejected(index):
+    doc = reference_doc()  # two measurements
+    doc["events"][0]["measurement"] = index
+    with pytest.raises(ValidationError, match=f"M{index} but the test has 2"):
+        loads(json.dumps(doc))
 
 
 def test_not_json_and_missing_file(tmp_path):
