@@ -215,8 +215,11 @@ def cmd_gen(args) -> int:
     x = _weights(args.x) if args.x else None
     text = dump_instance(a, x=x, pretty=args.pretty)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write instance file {args.out!r}: {exc}")
     else:
         print(text)
     return EXIT_OK

@@ -3,10 +3,12 @@ Born-rule Monte Carlo.
 
 Both avoid the super-operator composition used by the main probability path.
 Enumeration computes, for every outcome tuple, the operator product
-``W = M_{m_k} ... M_{m_1}`` and accumulates ``tr(W rho W^dagger)``; sampling
-walks single trajectories by drawing each outcome from its Born probability
-and renormalizing.  Agreement between the three routes is what the test
-suite leans on.
+``W = M_{m_k} ... M_{m_1}`` and accumulates ``tr(W rho W^dagger)``.  Sampling
+is the Monte Carlo wave-function method (Dalibard, Castin & Molmer, PRL 68,
+580, 1992): each trajectory starts in an eigenvector of ``rho`` drawn with its
+eigenvalue as weight, and at every step draws an outcome from the Born
+weights ``|M_m psi|^2`` and keeps the normalized branch ``M_m psi``.
+Agreement between the three routes is what the test suite leans on.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ SAMPLER_ALGORITHM = "numpy:PCG64"
 
 # each sampling step must see outcome probabilities summing to one
 _STEP_DRIFT = 1e-6
+# trajectories per batch; each batch draws from its own spawned seed
+_CHUNK = 50_000
 
 
 class Trajectory(NamedTuple):
@@ -118,54 +122,40 @@ class SampleEstimate:
 
 
 def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) -> int:
-    """Evolve *size* trajectories in one batch; return the success count."""
-    horizon = K[-1]
-    d = a.test.rho.dim
-    states = np.broadcast_to(a.test.rho.matrix, (size, d, d)).copy()
-    choices = np.empty((size, horizon), dtype=np.int64)
-    for step in range(1, horizon + 1):
+    """Walk *size* state-vector trajectories in one batch; return the success count."""
+    values, vectors = np.linalg.eigh(a.test.rho.matrix)
+    cum = np.cumsum(np.clip(values, 0.0, None))
+    states = vectors[:, (cum / cum[-1] > rng.random(size)[:, None]).argmax(axis=1)].T
+    rows = np.arange(size)
+    success = np.ones(size, dtype=bool)
+    for step in range(1, K[-1] + 1):
         m = a.test.measurements[step - 1]
-        ops = [m.kraus[lab] for lab in m.spectrum]
-        probs = np.empty((size, len(ops)))
-        for j, op in enumerate(ops):
-            probs[:, j] = np.einsum(
-                "ij,bjk,ik->b", op, states, op.conj(), optimize=True
-            ).real
-        total = probs.sum(axis=1)
-        drift = np.abs(total - 1.0).max()
+        stacked = np.concatenate([m.kraus[lab] for lab in m.spectrum])
+        branches = (states @ stacked.T).reshape(size, len(m.spectrum), -1)
+        # |branch|^2 from the float view: no conjugate copy of the branches
+        flat = branches.view(np.float64)
+        probs = np.einsum("bkj,bkj->bk", flat, flat)
+        cum = np.cumsum(probs, axis=1)
+        drift = np.abs(cum[:, -1] - 1.0).max()
         if drift > _STEP_DRIFT:
             raise InternalConsistencyError(
                 f"outcome probabilities at step {step} sum to 1 {drift:.2e} off",
                 step=step,
                 drift=float(drift),
             )
-        np.clip(probs, 0.0, None, out=probs)
-        cum = np.cumsum(probs, axis=1)
         cum /= cum[:, -1:]
-        u = rng.random(size)
-        drawn = (cum <= u[:, None]).sum(axis=1)
-        choices[:, step - 1] = drawn
-        for j, op in enumerate(ops):
-            mask = drawn == j
-            if not mask.any():
-                continue
-            evolved = np.einsum("ij,bjk,lk->bil", op, states[mask], op.conj())
-            norms = np.einsum("bii->b", evolved).real
-            states[mask] = evolved / norms[:, None, None]
-    success = np.ones(size, dtype=bool)
-    for i in K:
-        m = a.test.measurements[i - 1]
-        allowed = [j for j, lab in enumerate(m.spectrum) if lab in a.event(i).outcomes]
-        success &= np.isin(choices[:, i - 1], allowed)
+        # the first outcome whose cumulative weight passes u; the last one does
+        drawn = (cum > rng.random(size)[:, None]).argmax(axis=1)
+        states = branches[rows, drawn]
+        states /= np.sqrt(probs[rows, drawn])[:, None]
+        del branches, flat  # freed before the next step allocates its branches
+        if step in K:
+            success &= np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]
     return int(success.sum())
 
 
 def sample_trajectories(
-    a: TestEventAssignment,
-    K: Iterable[int],
-    n_samples: int,
-    seed: int,
-    chunk: int = 50_000,
+    a: TestEventAssignment, K: Iterable[int], n_samples: int, seed: int
 ) -> SampleEstimate:
     """Monte Carlo estimate of the marginal probability of the events at *K*.
 
@@ -174,10 +164,9 @@ def sample_trajectories(
     n_samples : int
         Trajectories to draw.
     seed : int
-        Seeds a PCG64 generator; identical seeds give bit-identical
-        estimates.  Work is split into chunks, each driven by an
-        independently spawned child seed, so chunking does not change the
-        answer for a fixed ``chunk``.
+        Non-negative; seeds a PCG64 generator, so identical seeds give
+        bit-identical estimates.  Each chunk of up to 50 000 trajectories
+        draws from its own child of ``SeedSequence(seed)``.
 
     Returns
     -------
@@ -188,15 +177,16 @@ def sample_trajectories(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValidationError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if not K:
         return SampleEstimate(estimate=1.0, n_samples=n_samples, std_error=0.0, seed=seed)
-    sizes = [chunk] * (n_samples // chunk)
-    if n_samples % chunk:
-        sizes.append(n_samples % chunk)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    successes = 0
-    for size, stream in zip(sizes, streams):
-        successes += _sample_chunk(a, K, size, np.random.default_rng(stream))
+    starts = range(0, n_samples, _CHUNK)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    successes = sum(
+        _sample_chunk(a, K, min(_CHUNK, n_samples - start), np.random.default_rng(stream))
+        for start, stream in zip(starts, streams)
+    )
     est = successes / n_samples
     std_error = math.sqrt(est * (1.0 - est) / n_samples)
     return SampleEstimate(estimate=est, n_samples=n_samples, std_error=std_error, seed=seed)

@@ -193,6 +193,13 @@ def test_sample(capsys, ref_file):
     assert exact_doc["exact"] == doc["exact"]
 
 
+def test_sample_negative_seed_exits_2(capsys, ref_file):
+    code, doc = run(capsys, "sample", "--instance", ref_file, "--n", "10", "--seed", "-1")
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert "seed" in doc["error"]["message"]
+
+
 def test_sample_defaults_to_assigned_slots(capsys, ref_file):
     code, doc = run(capsys, "sample", "--instance", ref_file, "--n", "500", "--seed", "1")
     assert code == 0
@@ -242,6 +249,16 @@ def test_gen_non_numeric_weights_exit_2(capsys):
     assert code == 2
     assert doc["error"]["type"] == "Parse"
     assert "zz" in doc["error"]["message"]
+
+
+def test_gen_unwritable_out_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "no-such-dir" / "x.json"
+    code, doc = run(capsys, "gen", "--kind", "random-povm", "--n", "2", "--seed", "4",
+                    "--out", str(out))
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert str(out) in doc["error"]["message"]
+    assert not out.exists()
 
 
 def test_gen_respects_dimension_cap(capsys, monkeypatch):

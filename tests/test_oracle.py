@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qlll.errors import EnumerationCapError, ValidationError
 from qlll.events import Event
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 from qlll.oracle import (
+    _CHUNK,
     SAMPLER_ALGORITHM,
     SampleEstimate,
     enumerate_probability,
@@ -76,10 +79,37 @@ def test_sampler_seed_reproducibility(pool):
 def test_sampler_multichunk_path_is_deterministic(pool):
     a = pool[2]
     K = tuple(range(1, a.n + 1))
-    one = sample_trajectories(a, K, n_samples=5000, seed=3, chunk=2000)
-    two = sample_trajectories(a, K, n_samples=5000, seed=3, chunk=2000)
+    n = _CHUNK + 1
+    one = sample_trajectories(a, K, n_samples=n, seed=3)
+    two = sample_trajectories(a, K, n_samples=n, seed=3)
     assert one == two
-    assert one.n_samples == 5000
+    assert one.n_samples == n
+
+
+def test_sampler_never_holds_a_density_matrix_batch():
+    a = generate(GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=3, local_dim=2, seed=4))
+    d = a.test.rho.dim
+    assert d == 16
+    size = 4000
+    tracemalloc.start()
+    try:
+        sample_trajectories(a, a.assigned(), n_samples=size, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * d * d * 16  # one (size, d, d) complex128 batch
+
+
+def test_sampler_on_a_pure_start_state():
+    a = generate(GeneratorSpec(kind=GeneratorKind.PAPER_EXAMPLES, seed=0))
+    assert np.linalg.matrix_rank(a.test.rho.matrix) == 1  # |+><+|
+    m1, m2 = a.test.measurements
+    empty = a.with_event(1, Event.of(m1, []))
+    assert sample_trajectories(empty, (1,), n_samples=2000, seed=5).estimate == 0.0
+    complete = a.with_event(1, Event.of(m1, m1.spectrum)).with_event(2, Event.of(m2, m2.spectrum))
+    assert sample_trajectories(complete, (1, 2), n_samples=2000, seed=5).estimate == 1.0
+    est = sample_trajectories(a, (1, 2), n_samples=20_000, seed=5)
+    assert abs(est.estimate - enumerate_probability(a, (1, 2))) <= 4.0 * est.std_error
 
 
 def test_sampler_tracks_exact_probability(pool):
