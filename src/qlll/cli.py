@@ -212,7 +212,8 @@ def cmd_gen(args) -> int:
         outcomes=args.outcomes,
     )
     a = generate(spec)
-    x = _weights(args.x) if args.x else None
+    # validated as a check would take them: one weight per slot, each in (0, 1]
+    x = LLLInstance(a, _weights(args.x)).x if args.x else None
     text = dump_instance(a, x=x, pretty=args.pretty)
     if args.out:
         try:

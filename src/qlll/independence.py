@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import ConditionOnZeroError, ValidationError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import TestEventAssignment, check_index_set, pr_test_cond, pr_test_marginal
+from .probability import TestEventAssignment, _test_cond, check_index_set, pr_test_cond, pr_test_marginal
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def _neg_difference(
         raise ValidationError(
             f"conditioning slots {list(K)} must lie strictly before target {i}"
         )
-    flipped = a.with_complemented(K)
-    return _decide(pr_test_cond(flipped, K, (i,), tol), pr_test_marginal(a, (i,), tol), tol)
+    conditional = _test_cond(a, K, check_index_set((i,), a.n), a._miss, tol)
+    return _decide(conditional, pr_test_marginal(a, (i,), tol), tol)
 
 
 def is_independent(query: IndependenceQuery, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -82,7 +82,12 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def dimension_cap() -> int:
-    """Current Hilbert-space dimension cap (env ``QLLL_DIM_CAP``, default 64)."""
+    """Current Hilbert-space dimension cap (env ``QLLL_DIM_CAP``, default 64).
+
+    The variable is read on every call, not once at import, so a cap set
+    after import (as the test suite does) takes effect.  That costs one
+    lookup per validated matrix, which is off the hot path.
+    """
     raw = os.environ.get(DIM_CAP_ENV)
     if raw is None:
         return DEFAULT_DIM_CAP

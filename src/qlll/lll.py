@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadPError, ValidationError
-from .events import complement, complete_event, super_operator_of
 from .independence import DependenceProfile, compute_profile
 from .linalg import DEFAULT_TOL, ToleranceConfig, trace
-from .probability import TestEventAssignment, _clamp_probability, _ratio
+from .probability import TestEventAssignment, _clamp_probability, _padded, _ratio
 
 
 @dataclass(frozen=True)
@@ -51,16 +50,15 @@ def _avoidance_pass(
     is the padded marginal Pr[E_i].  ``sigma`` passes through every slot's
     complement channel, so ``tr(E_i(sigma)) / tr(sigma)`` is the conditional
     Pr[E_i | none of E_1..E_{i-1}]: None when ``tr(sigma) <= tol.prob``.  The
-    trace of the final ``sigma`` is the all-avoided probability.  These are
-    the same channels, applied in the same order, as ``pr_test_marginal`` and
-    ``pr_test_cond`` on the complemented assignment apply.
+    trace of the final ``sigma`` is the all-avoided probability.  The
+    channels come from the assignment's table, in the order in which
+    ``pr_test_marginal`` and ``_neg_difference`` walk them.
     """
+    slots = tuple(range(1, a.n + 1))
     tau = sigma = a.test.rho.matrix
     marginals: list[float] = []
     lemma: list[float | None] = []
-    for i in range(1, a.n + 1):
-        event = a.event(i)
-        hit = super_operator_of(event)
+    for hit, miss, complete in zip(_padded(a, slots, a._hit), _padded(a, slots, a._miss), a._complete):
         marginals.append(_clamp_probability(trace(hit(tau)).real, tol))
         denom = _clamp_probability(trace(sigma).real, tol)
         if denom <= tol.prob:
@@ -68,8 +66,8 @@ def _avoidance_pass(
         else:
             num = _clamp_probability(trace(hit(sigma)).real, tol)
             lemma.append(_ratio(num, denom, tol))
-        tau = super_operator_of(complete_event(a.test.measurements[i - 1]))(tau)
-        sigma = super_operator_of(complement(event))(sigma)
+        tau = complete(tau)
+        sigma = miss(sigma)
     return marginals, lemma, _clamp_probability(trace(sigma).real, tol)
 
 
@@ -138,19 +136,14 @@ def symmetric_chain_holds(d: int, slack: float = 1e-12) -> bool:
     return 1.0 / ((d + 1) * math.e) <= x * (1.0 - x) ** d + slack
 
 
-def check_general(
-    inst: LLLInstance,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    profile: DependenceProfile | None = None,
-) -> LLLReport:
+def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLReport:
     """Evaluate hypothesis, per-slot conditionals and the product bound.
 
     Always computes and reports everything; ``assumption_ok`` tells the
     caller whether the bound was owed in the first place.
     """
     a = inst.assignment
-    if profile is None:
-        profile = compute_profile(a, tol)
+    profile = compute_profile(a, tol)
     marginals, lemma, lhs = _avoidance_pass(a, tol)
     rows = []
     for i, marginal in enumerate(marginals, start=1):
@@ -193,6 +186,8 @@ def check_symmetric(
     if p is None:
         p = p_max
     p = float(p)
+    if not math.isfinite(p):
+        raise BadPError(f"supplied p={p!r} is not a finite probability")
     if p < p_max - tol.prob:
         raise BadPError(
             f"supplied p={p!r} is below the measured maximum marginal {p_max!r}",

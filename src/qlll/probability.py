@@ -12,6 +12,7 @@ the events they condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     MissingAssignmentError,
     ValidationError,
 )
-from .events import Event, Measurement, complement, complete_event, super_operator_of
+from .events import Event, Measurement, SuperOperator, complement, complete_event, super_operator_of
 from .linalg import DEFAULT_TOL, FULL, DensityOperator, ToleranceConfig, trace
 
 
@@ -48,15 +49,21 @@ def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
     return min(num / denom, 1.0)
 
 
-def _walk(rho: DensityOperator, sigma, seq: Sequence[Event]):
-    """Apply the channels of *seq* to *sigma* in order (first listed first)."""
+def _channels(rho: DensityOperator, seq: Sequence[Event]):
+    """Each event's channel, its dimension checked against *rho* when the walk reaches it."""
     for e in seq:
         if e.measurement.dim != rho.dim:
             raise DimensionMismatchError(
                 f"event on measurement {e.measurement.name!r} has dimension "
                 f"{e.measurement.dim}, state has {rho.dim}"
             )
-        sigma = super_operator_of(e)(sigma)
+        yield super_operator_of(e)
+
+
+def _walk(sigma, channels: Iterable[SuperOperator]):
+    """Apply *channels* to *sigma* in order (first listed first)."""
+    for channel in channels:
+        sigma = channel(sigma)
     return sigma
 
 
@@ -66,19 +73,19 @@ def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = 
     The first event in *seq* is performed first.  An empty sequence has
     probability ``trace(rho)`` (one for a full state).
     """
-    return _clamp_probability(trace(_walk(rho, rho.matrix, seq)).real, tol)
+    return _clamp_probability(trace(_walk(rho.matrix, _channels(rho, seq))).real, tol)
 
 
-def _cond(rho: DensityOperator, given, then, tol: ToleranceConfig, subject: str, **detail) -> float:
-    # One walk: the state after *given* yields the denominator and is then
-    # carried on through *then* for the numerator.
-    sigma = _walk(rho, rho.matrix, given)
+def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, **detail) -> float:
+    # One walk: the state after the *given* channels yields the denominator
+    # and is then carried on through the *then* channels for the numerator.
+    sigma = _walk(sigma, given)
     denom = _clamp_probability(trace(sigma).real, tol)
     if denom <= tol.prob:
         raise ConditionOnZeroError(
             f"{subject} probability {denom!r} <= {tol.prob!r}", denominator=denom, **detail
         )
-    num = _clamp_probability(trace(_walk(rho, sigma, then)).real, tol)
+    num = _clamp_probability(trace(_walk(sigma, then)).real, tol)
     return _ratio(num, denom, tol)
 
 
@@ -98,7 +105,8 @@ def pr_state_cond(
     ConditionOnZeroError
         If ``pr_state(rho, given)`` is at most ``tol.prob``.
     """
-    return _cond(rho, given, then, tol, "conditioning sequence has")
+    subject = "conditioning sequence has"
+    return _cond(rho.matrix, _channels(rho, given), _channels(rho, then), tol, subject)
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ class TestEventAssignment:
     """Events assigned to (some) slots of a test.
 
     Each assigned event must be defined by the measurement sitting at its
-    slot.
+    slot.  ``events`` is read-only so that the channel table cannot go stale.
     """
 
     __test__ = False
@@ -161,7 +169,12 @@ class TestEventAssignment:
                     f"{e.measurement.name!r}, expected {test.measurements[i - 1].name!r}"
                 )
             checked[i] = e
-        self.events = dict(sorted(checked.items()))
+        self.events = MappingProxyType(dict(sorted(checked.items())))
+        # Each test-relative walk applies, per slot, its complete channel or the
+        # hit or miss channel of its event; all share the measurements' arrays.
+        self._complete = tuple(super_operator_of(complete_event(m)) for m in test.measurements)
+        self._hit = {i: super_operator_of(e) for i, e in self.events.items()}
+        self._miss = {i: super_operator_of(complement(e)) for i, e in self.events.items()}
 
     @property
     def n(self) -> int:
@@ -192,18 +205,26 @@ class TestEventAssignment:
         return f"TestEventAssignment(n={self.n}, {{{body}}})"
 
 
-def _padded_sequence(a: TestEventAssignment, K: tuple[int, ...]) -> list[Event]:
-    if not K:
-        return []
-    horizon = K[-1]
+def _padded(a: TestEventAssignment, K: tuple[int, ...], table: Mapping, start: int = 0) -> list:
+    """Channels of slots ``start + 1 .. max(K)``: ``table[i]`` at *K*, the complete channel elsewhere."""
     chosen = set(K)
     seq = []
-    for i in range(1, horizon + 1):
-        if i in chosen:
-            seq.append(a.event(i))
+    for i in range(start + 1, (K[-1] if K else start) + 1):
+        if i not in chosen:
+            seq.append(a._complete[i - 1])
+        elif i in table:
+            seq.append(table[i])
         else:
-            seq.append(complete_event(a.test.measurements[i - 1]))
+            raise MissingAssignmentError(f"no event assigned at slot {i}")
     return seq
+
+
+def _test_cond(a: TestEventAssignment, K, L, table: Mapping, tol: ToleranceConfig) -> float:
+    """Pr[events at *L* | *table*'s channels at *K*]: ``a._miss`` conditions on the complements."""
+    given = _padded(a, K, table)
+    then = _padded(a, L, a._hit, start=len(given))
+    subject = f"conditioning events at slots {list(K)} have"
+    return _cond(a.test.rho.matrix, given, then, tol, subject, K=list(K))
 
 
 def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -214,7 +235,7 @@ def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceCon
     just not inspected.  ``K = ()`` gives probability one.
     """
     K = check_index_set(K, a.n)
-    return pr_state(a.test.rho, _padded_sequence(a, K), tol)
+    return _clamp_probability(trace(_walk(a.test.rho.matrix, _padded(a, K, a._hit))).real, tol)
 
 
 def pr_test_cond(
@@ -245,7 +266,4 @@ def pr_test_cond(
             K=list(K),
             L=list(L),
         )
-    seq = _padded_sequence(a, K + L)
-    cut = K[-1] if K else 0
-    subject = f"conditioning events at slots {list(K)} have"
-    return _cond(a.test.rho, seq[:cut], seq[cut:], tol, subject, K=list(K))
+    return _test_cond(a, K, L, a._hit, tol)

@@ -174,6 +174,17 @@ def test_check_symmetric_bad_p(capsys, tensor_file):
     assert doc["error"]["type"] == "BadP"
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+def test_check_symmetric_non_finite_p_exits_2(capsys, tensor_file, p):
+    code = cli.main(["check", "--instance", tensor_file, "--variant", "symmetric", f"--p={p}"])
+    out = capsys.readouterr().out
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert code == 2
+    assert doc["error"]["type"] == "BadP"
+    assert "finite" in doc["error"]["message"]
+
+
 def test_sample(capsys, ref_file):
     code, doc = run(capsys, "sample", "--instance", ref_file, "--K", "1,2",
                     "--n", "4000", "--seed", "5")
@@ -249,6 +260,20 @@ def test_gen_non_numeric_weights_exit_2(capsys):
     assert code == 2
     assert doc["error"]["type"] == "Parse"
     assert "zz" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("nan,7", "weight x_1 must lie in (0, 1], got nan"),
+    ("0.5", "need one weight per slot: got 1, test has 2"),
+], ids=["nan-weight", "one-weight"])
+def test_gen_rejects_weights_a_check_would_refuse(capsys, tmp_path, weights, message):
+    out = tmp_path / "gen.json"
+    code, doc = run(capsys, "gen", "--kind", "paper-examples", "--seed", "1", "--x", weights,
+                    "--out", str(out))
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"] == message
+    assert not out.exists()
 
 
 def test_gen_unwritable_out_path_exits_2(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
+import qlll.events
+import qlll.probability
 from helpers import build_pool
 from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import Event, complete_event
@@ -12,6 +16,7 @@ from qlll.independence import (
     is_neg_independent,
 )
 from qlll.linalg import DEFAULT_TOL
+from qlll.lll import LLLInstance, check_general
 from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
 
 
@@ -147,3 +152,38 @@ def test_profile_never_compares_kraus_arrays(monkeypatch):
     monkeypatch.setattr(np, "array_equal", counting)
     compute_profile(a)
     assert calls == []
+
+
+def test_profile_builds_no_channels_or_assignments(monkeypatch):
+    # the assignment builds each slot's channels once; the profile and the
+    # check only walk them, and they walk the measurements' own Kraus arrays
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=8, local_dim=3, seed=7))
+    calls = []
+    original_of = qlll.events.super_operator_of
+    original_init = qlll.probability.TestEventAssignment.__init__
+
+    def counting_of(event):
+        calls.append("super_operator_of")
+        return original_of(event)
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("assignment")
+        original_init(self, *args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qlll")]:
+        if getattr(module, "super_operator_of", None) is original_of:
+            monkeypatch.setattr(module, "super_operator_of", counting_of)
+    monkeypatch.setattr(qlll.probability.TestEventAssignment, "__init__", counting_init)
+    compute_profile(a)
+    check_general(LLLInstance(a, (0.5,) * a.n))
+    assert calls == []
+
+    for i, m in enumerate(a.test.measurements, start=1):
+        own = [m.kraus[label] for label in m.spectrum]
+        assert all(k is o for k, o in zip(a._complete[i - 1].kraus, own))
+        assert len(a._complete[i - 1].kraus) == len(own)
+        hit, miss = a.event(i).outcomes, set(m.spectrum) - a.event(i).outcomes
+        for channel, chosen in ((a._hit[i], hit), (a._miss[i], miss)):
+            expected = [m.kraus[label] for label in m.spectrum if label in chosen]
+            assert len(channel.kraus) == len(expected)
+            assert all(k is e for k, e in zip(channel.kraus, expected))

@@ -21,7 +21,9 @@ from qlll.generate import (
     random_projective_measurement,
     zx_measurement_pair,
 )
+from qlll.independence import _decide, _neg_difference
 from qlll.linalg import DEFAULT_TOL, FULL, PARTIAL, validate_density
+from qlll.lll import _avoidance_pass
 from qlll.probability import (
     Test,
     TestEventAssignment,
@@ -258,12 +260,12 @@ def _same_outcome(one_walk, two_walk):
     """Both routes return the same float, or both refuse with the same error."""
     try:
         expected = two_walk()
-    except ConditionOnZeroError as ref:
-        with pytest.raises(ConditionOnZeroError) as exc:
+    except (ConditionOnZeroError, MissingAssignmentError) as ref:
+        with pytest.raises(type(ref)) as exc:
             one_walk()
         assert exc.value.detail == ref.detail
         assert str(exc.value) == str(ref)
-        return "zero"
+        return "zero" if isinstance(ref, ConditionOnZeroError) else "missing"
     assert one_walk() == expected
     return "value"
 
@@ -327,3 +329,104 @@ def test_test_cond_applies_max_L_channels(pool40, monkeypatch):
                 assert len(calls) == (K[-1] if K else 0)
                 continue
             assert len(calls) == L[-1]
+
+
+# ---------------------------------------------------------------------------
+# The assignment's channel table against explicitly padded event sequences
+
+
+def _reference_padded(a, K, flip=()):
+    """Events of slots 1..max(K): the assigned event at K (complemented at *flip*), else complete.
+
+    Built from the events alone with ``complete_event`` and ``complement``, so
+    it never reads the assignment's channel table.
+    """
+    seq = []
+    for i in range(1, (K[-1] if K else 0) + 1):
+        if i in K:
+            seq.append(complement(a.event(i)) if i in flip else a.event(i))
+        else:
+            seq.append(complete_event(a.test.measurements[i - 1]))
+    return seq
+
+
+def _reference_test_cond(a, K, L, flip=()):
+    """pr_state_cond over the padded events, raising what the test route must raise."""
+    seq = _reference_padded(a, K + L, flip)
+    cut = K[-1] if K else 0
+    try:
+        return pr_state_cond(a.test.rho, seq[:cut], seq[cut:])
+    except ConditionOnZeroError as exc:
+        denom = exc.detail["denominator"]
+        raise ConditionOnZeroError(
+            f"conditioning events at slots {list(K)} have probability {denom!r} <= {DEFAULT_TOL.prob!r}",
+            denominator=denom,
+            K=list(K),
+        ) from None
+
+
+def _table_variants(a):
+    # the unassigned-slot variants drop the first or the last slot's event
+    return _variants(a) + tuple(
+        TestEventAssignment(a.test, {i: e for i, e in a.events.items() if i != drop})
+        for drop in (1, a.n)
+    )
+
+
+def test_channel_table_matches_padded_event_sequences(pool40):
+    seen = set()
+    for a0 in pool40:
+        for a in _table_variants(a0):
+            rho = a.test.rho
+            for K in _subsets(range(1, a.n + 1)):
+                seen.add(_same_outcome(
+                    lambda: pr_test_marginal(a, K), lambda: pr_state(rho, _reference_padded(a, K))
+                ))
+            for K, L in _ordered_pairs(a.n):
+                seen.add(_same_outcome(
+                    lambda: pr_test_cond(a, K, L), lambda: _reference_test_cond(a, K, L)
+                ))
+                if len(L) > 1:
+                    continue
+                seen.add(_same_outcome(
+                    lambda: _neg_difference(a, L[0], K, DEFAULT_TOL),
+                    lambda: _decide(
+                        _reference_test_cond(a, K, L, flip=K),
+                        pr_state(rho, _reference_padded(a, L)),
+                        DEFAULT_TOL,
+                    ),
+                ))
+
+            def reference_pass():
+                marginals, lemma = [], []
+                for i in range(1, a.n + 1):
+                    marginals.append(pr_state(rho, _reference_padded(a, (i,))))
+                    prefix = tuple(range(1, i))
+                    try:
+                        lemma.append(_reference_test_cond(a, prefix, (i,), flip=prefix))
+                    except ConditionOnZeroError:
+                        lemma.append(None)
+                every = tuple(range(1, a.n + 1))
+                return marginals, lemma, pr_state(rho, _reference_padded(a, every, flip=every))
+
+            seen.add(_same_outcome(lambda: _avoidance_pass(a, DEFAULT_TOL), reference_pass))
+    assert seen == {"value", "zero", "missing"}
+
+
+def test_neg_difference_checks_the_target_before_missing_conditions(pool40):
+    # the target's range is validated before the conditioning slots' events
+    # are looked up; an unassigned conditioning slot used to be reported first
+    a0 = pool40[0]
+    a = TestEventAssignment(a0.test, {i: e for i, e in a0.events.items() if i != 1})
+    with pytest.raises(ValidationError, match=f"index {a.n + 1} outside 1..{a.n}") as exc:
+        _neg_difference(a, a.n + 1, (1,), DEFAULT_TOL)
+    assert not isinstance(exc.value, MissingAssignmentError)
+    with pytest.raises(MissingAssignmentError, match="no event assigned at slot 1"):
+        _neg_difference(a, a.n, (1,), DEFAULT_TOL)
+
+
+def test_assignment_events_are_read_only(pool40):
+    a = pool40[0]
+    with pytest.raises(TypeError):
+        a.events[1] = complement(a.event(1))
+    assert a.with_event(1, complement(a.event(1))).event(1) == complement(a.event(1))
