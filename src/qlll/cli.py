@@ -1,7 +1,10 @@
 """Command line interface.
 
 Verbs: prob, cond, indep, profile, check, sample, paper-examples, gen.
-Output is JSON on stdout (compact by default, ``--pretty`` to indent).
+Each verb returns its JSON document and exit code, and ``main`` prints the
+document on stdout (compact by default, ``--pretty`` to indent); ``gen``
+writes its instance file itself.  A flag that the chosen mode or variant
+does not read is a validation error.
 Exit codes: 0 success / bounds hold; 1 conditioning on a zero-probability
 sequence or a failed hypothesis; 2 parse, validation or internal errors.
 """
@@ -34,13 +37,6 @@ EXIT_HYPOTHESIS = 1
 EXIT_ERROR = 2
 
 
-def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc, separators=(",", ":")))
-
-
 def _indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -68,26 +64,33 @@ def _state_events(test, text: str):
     return [resolve_event_spec(test.measurements, i, spec) for i, spec in parse_event_seq(text)]
 
 
-def cmd_prob(args) -> int:
+def _unread(value, flag: str, context: str) -> None:
+    """A flag that *context* does not read is an error, not a silent no-op."""
+    if value is not None:
+        raise ValidationError(f"{flag} is not read by {context}")
+
+
+def cmd_prob(args) -> tuple[dict, int]:
     test, assignment, _ = load_path(args.instance)
     if args.mode == "state":
+        _unread(args.K, "--K", "prob --mode state")
         if args.seq is None:
             raise ValidationError("state mode needs --seq")
         seq = _state_events(test, args.seq)
         value = pr_state(test.rho, seq)
         query = {"seq": [{"measurement": e.measurement.name, "in": e.sorted_outcomes()} for e in seq]}
     else:
+        _unread(args.seq, "--seq", "prob --mode test")
         if args.K is None:
             raise ValidationError("test mode needs --K")
         a = _need_events(assignment, "test mode")
         K = _indices(args.K)
         value = pr_test_marginal(a, K)
         query = {"K": list(K)}
-    _emit({"command": "prob", "mode": args.mode, "query": query, "value": value}, args.pretty)
-    return EXIT_OK
+    return {"command": "prob", "mode": args.mode, "query": query, "value": value}, EXIT_OK
 
 
-def cmd_cond(args) -> int:
+def cmd_cond(args) -> tuple[dict, int]:
     test, assignment, _ = load_path(args.instance)
     if args.K is None or args.L is None:
         raise ValidationError("cond needs --K (conditioning) and --L (target)")
@@ -104,73 +107,66 @@ def cmd_cond(args) -> int:
         K, L = _indices(args.K), _indices(args.L)
         value = pr_test_cond(a, K, L)
         query = {"K": list(K), "L": list(L)}
-    _emit({"command": "cond", "mode": args.mode, "query": query, "value": value}, args.pretty)
-    return EXIT_OK
+    return {"command": "cond", "mode": args.mode, "query": query, "value": value}, EXIT_OK
 
 
-def cmd_indep(args) -> int:
+def cmd_indep(args) -> tuple[dict, int]:
     _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "indep")
+    if args.neg:
+        _unread(args.J, "--J", "indep --neg")
     K = _indices(args.K)
-    J = _indices(args.J) if args.J is not None and not args.neg else K
+    J = _indices(args.J) if args.J is not None else K
     tol = DEFAULT_TOL
     if args.neg:
         difference, result = _neg_difference(a, args.i, K, tol)
     else:
         difference, result = _difference(IndependenceQuery(a, args.i, K, J), tol)
-    _emit(
-        {
-            "command": "indep",
-            "query": {"i": args.i, "K": list(K), "J": list(J), "negated": bool(args.neg)},
-            "independent": result,
-            "difference": difference,
-            "tolerance": tol.ind,
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    doc = {
+        "command": "indep",
+        "query": {"i": args.i, "K": list(K), "J": list(J), "negated": bool(args.neg)},
+        "independent": result,
+        "difference": difference,
+        "tolerance": tol.ind,
+    }
+    return doc, EXIT_OK
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> tuple[dict, int]:
     _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "profile")
     profile = compute_profile(a)
     doc = {"command": "profile", **profile.to_json()}
-    _emit(doc, args.pretty)
     entries = list(profile.table.values())
     if entries and all(v is None for v in entries):
-        return EXIT_ERROR
-    return EXIT_OK
+        return doc, EXIT_ERROR
+    return doc, EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     _, assignment, x_file = load_path(args.instance)
     a = _need_events(assignment, "check")
     if args.variant == "general":
+        _unread(args.p, "--p", "check --variant general")
         x = _weights(args.x) if args.x else x_file
         if x is None:
             raise ValidationError("general check needs weights: --x or an 'x' array in the file")
         report = check_general(LLLInstance(a, x))
         ok = all(report.assumption_ok) and report.bound_ok
-        _emit(
-            {"command": "check", "variant": "general", "report": report.to_json(), "ok": ok},
-            args.pretty,
-        )
+        doc = {"command": "check", "variant": "general", "report": report.to_json(), "ok": ok}
         if not all(report.assumption_ok):
-            return EXIT_HYPOTHESIS
+            return doc, EXIT_HYPOTHESIS
         if not report.bound_ok:
-            return EXIT_ERROR  # hypothesis held but a proven bound failed
-        return EXIT_OK
+            return doc, EXIT_ERROR  # hypothesis held but a proven bound failed
+        return doc, EXIT_OK
+    _unread(args.x, "--x", "check --variant symmetric")
     report = check_symmetric(a, args.p)
     ok = report.verdict == "pass"
-    _emit(
-        {"command": "check", "variant": "symmetric", "report": report.to_json(), "ok": ok},
-        args.pretty,
-    )
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    doc = {"command": "check", "variant": "symmetric", "report": report.to_json(), "ok": ok}
+    return doc, EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[dict, int]:
     _, assignment, _ = load_path(args.instance)
     a = _need_events(assignment, "sample")
     K = _indices(args.K) if args.K is not None else a.assigned()
@@ -187,22 +183,21 @@ def cmd_sample(args) -> int:
         if exact is None or est.std_error == 0.0
         else abs(est.estimate - exact) / est.std_error
     )
-    _emit(doc, args.pretty)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
-def cmd_paper_examples(args) -> int:
+def cmd_paper_examples(args) -> tuple[dict, int]:
     results = worked_examples()
     doc = {
         "command": "paper-examples",
         "results": [ex.to_json() for ex in results],
         "all_pass": all(c.passed for ex in results for c in ex.checks),
     }
-    _emit(doc, args.pretty)
-    return EXIT_OK if doc["all_pass"] else EXIT_ERROR
+    return doc, EXIT_OK if doc["all_pass"] else EXIT_ERROR
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[None, int]:
+    """Write the instance file itself: to ``--out``, or to stdout."""
     spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -223,7 +218,7 @@ def cmd_gen(args) -> int:
             raise ValidationError(f"cannot write instance file {args.out!r}: {exc}")
     else:
         print(text)
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,16 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb and print its JSON document, or the error document."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
     except ConditionOnZeroError as exc:
-        _emit({"error": exc.to_json()}, getattr(args, "pretty", False))
-        return EXIT_HYPOTHESIS
+        doc, code = {"error": exc.to_json()}, EXIT_HYPOTHESIS
     except QlllError as exc:
-        _emit({"error": exc.to_json()}, getattr(args, "pretty", False))
-        return EXIT_ERROR
+        doc, code = {"error": exc.to_json()}, EXIT_ERROR
+    if doc is not None:
+        if args.pretty:
+            print(json.dumps(doc, indent=2))
+        else:
+            print(json.dumps(doc, separators=(",", ":")))
+    return code
 
 
 def main_entry() -> None:

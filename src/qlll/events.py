@@ -9,7 +9,7 @@ generally changes the state even when A is the whole spectrum.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -103,14 +103,6 @@ class Measurement:
                 if np.abs(a @ b).max() > tol.herm:
                     return False
         return True
-
-    def operator(self, label: str) -> np.ndarray:
-        try:
-            return self.kraus[label]
-        except KeyError:
-            raise ValidationError(
-                f"measurement {self.name!r} has no outcome {label!r}"
-            ) from None
 
     def __eq__(self, other) -> bool:
         if self is other:

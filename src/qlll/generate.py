@@ -130,11 +130,11 @@ def random_projective_measurement(
 
 
 def random_povm_measurement(
-    dim: int, k: int, rng: np.random.Generator, name: str, floor: float = 1e-12
+    dim: int, k: int, rng: np.random.Generator, name: str
 ) -> Measurement:
     """Gaussian operators A_m normalized by S^{-1/2}, S = sum A_m^dagger A_m.
 
-    Redraws when S has an eigenvalue below *floor* (practically never)."""
+    Redraws when S has an eigenvalue below 1e-12 (practically never)."""
     if k < 2:
         raise ValidationError(f"need at least 2 outcomes, got {k}")
     while True:
@@ -145,7 +145,7 @@ def random_povm_measurement(
         ]
         s = sum(a.conj().T @ a for a in ops)
         w, v = np.linalg.eigh(s)
-        if float(w.min()) >= floor:
+        if float(w.min()) >= 1e-12:
             break
     s_inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return Measurement(name, {str(m): a @ s_inv_sqrt for m, a in enumerate(ops)})
@@ -199,6 +199,8 @@ class GeneratorSpec:
             raise ValidationError(f"local_dim must be at least 2, got {self.local_dim}")
         if self.window < 1:
             raise ValidationError(f"window must be at least 1, got {self.window}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.outcomes is not None and self.outcomes < 2:
             raise ValidationError(f"outcomes must be at least 2, got {self.outcomes}")
 
@@ -404,8 +406,6 @@ class Check:
 class WorkedExample:
     name: str
     description: str
-    test: Test
-    events: dict[int, Event]
     checks: tuple[Check, ...]
 
     def to_json(self) -> dict:
@@ -443,8 +443,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 "Sequence probability is order dependent: swapping two events "
                 "of incompatible qubit bases turns 1/4 into 0."
             ),
-            test=Test(minus, (m1, m2)),
-            events={1: m1_is_1, 2: e2},
             checks=(
                 Check("Pr[M1=1 then M2=0]", 0.25, pr_state(minus, [m1_is_1, e2], tol)),
                 Check("Pr[M2=0 then M1=1]", 0.0, pr_state(minus, [e2, m1_is_1], tol)),
@@ -463,8 +461,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 "events, whose super-operators still disturb the state; the "
                 "bare state probability has no such padding."
             ),
-            test=marg_test,
-            events={2: e2},
             checks=(
                 Check("state Pr[M2=0]", 1.0, pr_state(plus, [e2], tol)),
                 Check("test Pr[E2], E2=(M2=0)", 0.5, pr_test_marginal(a_e2, (2,), tol)),
@@ -475,7 +471,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
         )
     )
 
-    cond_test = Test(plus, (m1, m2, m3))
     out.append(
         WorkedExample(
             name="conditional-reversal",
@@ -484,8 +479,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 "probability from 0 to 1/4: conditioning lacks the classical "
                 "monotonicity in the head of the sequence."
             ),
-            test=cond_test,
-            events={1: e1, 2: e2, 3: e3},
             checks=(
                 Check(
                     "Pr[M2=0, M3=1 | M1=0]",
@@ -505,8 +498,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 "recover the probability without it: inserting M2 changes "
                 "what M3 sees."
             ),
-            test=cond_test,
-            events={1: e1, 2: e2, 3: e3},
             checks=(
                 Check("Pr[M1=0, M3=1]", 0.0, pr_state(plus, [e1, e3], tol)),
                 Check(
@@ -528,8 +519,6 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
                 "the padded marginal 1/2 (the unpadded state value 1 is a "
                 "different quantity)."
             ),
-            test=marg_test,
-            events={1: complete_event(m1), 2: e2},
             checks=(
                 Check("Pr[E2 | full(M1)]", 0.5, pr_test_cond(a_e2, (1,), (2,), tol)),
                 Check("Pr[E2]", 0.5, pr_test_marginal(a_e2, (2,), tol)),

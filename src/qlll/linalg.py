@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,17 +64,11 @@ class ToleranceConfig:
     ind: float = 1e-7
 
     def __post_init__(self):
-        for name, value in (
-            ("herm", self.herm),
-            ("psd", self.psd),
-            ("trace", self.trace),
-            ("complete", self.complete),
-            ("prob", self.prob),
-            ("ind", self.ind),
-        ):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValidationError(
-                    f"tolerance {name!r} must be strictly positive, got {value!r}"
+                    f"tolerance {f.name!r} must be strictly positive, got {value!r}"
                 )
 
 

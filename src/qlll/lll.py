@@ -13,12 +13,12 @@ all-complements probability to be strictly positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import BadPError, ValidationError
+from .errors import BadPError, ConditionOnZeroError, ValidationError
 from .independence import DependenceProfile, compute_profile
 from .linalg import DEFAULT_TOL, ToleranceConfig, trace
-from .probability import TestEventAssignment, _clamp_probability, _padded, _ratio
+from .probability import TestEventAssignment, _clamp_probability, _cond, _padded
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,12 @@ def _avoidance_pass(
 
     ``tau`` passes through every slot's complete channel, so ``tr(E_i(tau))``
     is the padded marginal Pr[E_i].  ``sigma`` passes through every slot's
-    complement channel, so ``tr(E_i(sigma)) / tr(sigma)`` is the conditional
-    Pr[E_i | none of E_1..E_{i-1}]: None when ``tr(sigma) <= tol.prob``.  The
-    trace of the final ``sigma`` is the all-avoided probability.  The
-    channels come from the assignment's table, in the order in which
-    ``pr_test_marginal`` and ``_neg_difference`` walk them.
+    complement channel, so ``tr(E_i(sigma)) / tr(sigma)``, read by ``_cond``
+    like every conditional, is Pr[E_i | none of E_1..E_{i-1}]: None when
+    ``tr(sigma) <= tol.prob``.  The trace of the final ``sigma`` is the
+    all-avoided probability.  The channels come from the assignment's table,
+    in the order in which ``pr_test_marginal`` and ``_neg_difference`` walk
+    them.
     """
     slots = tuple(range(1, a.n + 1))
     tau = sigma = a.test.rho.matrix
@@ -60,12 +61,10 @@ def _avoidance_pass(
     lemma: list[float | None] = []
     for hit, miss, complete in zip(_padded(a, slots, a._hit), _padded(a, slots, a._miss), a._complete):
         marginals.append(_clamp_probability(trace(hit(tau)).real, tol))
-        denom = _clamp_probability(trace(sigma).real, tol)
-        if denom <= tol.prob:
+        try:
+            lemma.append(_cond(sigma, (), (hit,), tol, "avoided prefix has"))
+        except ConditionOnZeroError:
             lemma.append(None)
-        else:
-            num = _clamp_probability(trace(hit(sigma)).real, tol)
-            lemma.append(_ratio(num, denom, tol))
         tau = complete(tau)
         sigma = miss(sigma)
     return marginals, lemma, _clamp_probability(trace(sigma).real, tol)
@@ -85,18 +84,7 @@ class SymmetricReport:
     chain_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "d_min": self.d_min,
-            "condition_value": self.condition_value,
-            "condition": self.condition,
-            "lhs": self.lhs,
-            "explicit_bound": self.explicit_bound,
-            "positivity_ok": self.positivity_ok,
-            "verdict": self.verdict,
-            "p_max": self.p_max,
-            "chain_ok": self.chain_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -127,13 +115,14 @@ class LLLReport:
         }
 
 
-def symmetric_chain_holds(d: int, slack: float = 1e-12) -> bool:
+def symmetric_chain_holds(d: int) -> bool:
     """Scalar fact behind the symmetric reduction: 1/((d+1)e) <= (1/(d+1)) (1 - 1/(d+1))^d.
 
-    ``(1 - 1/(d+1))^d`` is 1 at d = 0 (empty product).
+    ``(1 - 1/(d+1))^d`` is 1 at d = 0 (empty product).  The comparison
+    allows 1e-12 of rounding slack.
     """
     x = 1.0 / (d + 1)
-    return 1.0 / ((d + 1) * math.e) <= x * (1.0 - x) ** d + slack
+    return 1.0 / ((d + 1) * math.e) <= x * (1.0 - x) ** d + 1e-12
 
 
 def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLReport:
@@ -174,20 +163,20 @@ def check_symmetric(
 ) -> SymmetricReport:
     """Evaluate the symmetric condition p * e * (d_min + 1) <= 1.
 
-    *p* defaults to the largest measured single-event marginal; supplying a
-    *p* below that maximum raises ``BadPError``.  The condition is decided
-    with ``tol.prob`` slack on both sides; values within the slack of 1 are
-    reported "boundary".  A positivity verdict of "pass" needs the
-    all-complements probability to exceed ``tol.prob``; smaller values are
-    "inconclusive" rather than a claim either way.
+    *p* defaults to the largest measured single-event marginal; a *p*
+    outside [0, 1] or below that maximum raises ``BadPError``.  The
+    condition is decided with ``tol.prob`` slack on both sides; values
+    within the slack of 1 are reported "boundary".  A positivity verdict of
+    "pass" needs the all-complements probability to exceed ``tol.prob``;
+    smaller values are "inconclusive" rather than a claim either way.
     """
     marginals, _, lhs = _avoidance_pass(a, tol)
     p_max = max(marginals)
     if p is None:
         p = p_max
     p = float(p)
-    if not math.isfinite(p):
-        raise BadPError(f"supplied p={p!r} is not a finite probability")
+    if not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
+        raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
     if p < p_max - tol.prob:
         raise BadPError(
             f"supplied p={p!r} is below the measured maximum marginal {p_max!r}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -112,13 +112,7 @@ class SampleEstimate:
     algorithm: str = SAMPLER_ALGORITHM
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "n_samples": self.n_samples,
-            "std_error": self.std_error,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-        }
+        return asdict(self)
 
 
 def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) -> int:

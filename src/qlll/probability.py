@@ -194,12 +194,6 @@ class TestEventAssignment:
         events[int(i)] = event
         return TestEventAssignment(self.test, events)
 
-    def with_complemented(self, indices: Iterable[int]) -> "TestEventAssignment":
-        events = dict(self.events)
-        for i in indices:
-            events[i] = complement(self.event(i))
-        return TestEventAssignment(self.test, events)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {e!r}" for i, e in self.events.items())
         return f"TestEventAssignment(n={self.n}, {{{body}}})"

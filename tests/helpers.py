@@ -1,9 +1,11 @@
-"""Shared fixtures helpers: the seeded instance pool and index utilities."""
+"""Shared fixtures helpers: the seeded instance pool, index utilities and the
+complemented-assignment reference."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from qlll.events import complement
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 
 POOL_SIZE = 200
@@ -73,3 +75,14 @@ def split_indices(rng, indices, pieces: int):
         out.append(indices[prev:c])
         prev = c
     return out
+
+
+def complemented(a, slots):
+    """*a* with the event at each of *slots* replaced by its complement.
+
+    The reference route for conditioning on complements: a fresh assignment
+    per slot, where the library walks its own miss channels instead.
+    """
+    for i in slots:
+        a = a.with_event(i, complement(a.event(i)))
+    return a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from helpers import rand_subset, split_indices, split_two, suite_rng
+from helpers import complemented, rand_subset, split_indices, split_two, suite_rng
 from qlll.errors import ConditionOnZeroError
 from qlll.events import Event, complement, complete_event, empty_event, union
 from qlll.generate import computational_measurement
@@ -368,7 +368,7 @@ def suite_test_monotone(pool) -> SuiteResult:
             if done == 3:
                 break
             flip = rand_subset(rng, slots, 0)
-            b = a.with_complemented(flip) if flip else a
+            b = complemented(a, flip) if flip else a
             cut = int(rng.integers(0, len(slots)))
             K = rand_subset(rng, slots[:cut], 0)
             L = rand_subset(rng, slots[cut:], 1)
@@ -462,7 +462,7 @@ def suite_test_chain(pool) -> SuiteResult:
             if done == 3:
                 break
             flip = rand_subset(rng, slots, 0)
-            b = a.with_complemented(flip) if flip else a
+            b = complemented(a, flip) if flip else a
             cut = int(rng.integers(0, len(slots)))
             L = rand_subset(rng, slots[:cut], 0)
             chain = rand_subset(rng, slots[cut:], 1)

@@ -174,7 +174,7 @@ def test_check_symmetric_bad_p(capsys, tensor_file):
     assert doc["error"]["type"] == "BadP"
 
 
-@pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1.5", "2"])
 def test_check_symmetric_non_finite_p_exits_2(capsys, tensor_file, p):
     code = cli.main(["check", "--instance", tensor_file, "--variant", "symmetric", f"--p={p}"])
     out = capsys.readouterr().out
@@ -183,6 +183,20 @@ def test_check_symmetric_non_finite_p_exits_2(capsys, tensor_file, p):
     assert code == 2
     assert doc["error"]["type"] == "BadP"
     assert "finite" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["prob", "--mode", "state", "--seq", "M1=0", "--K", "1"], "--K"),
+    (["prob", "--K", "1", "--seq", "M1=0"], "--seq"),
+    (["indep", "--i", "2", "--K", "1", "--neg", "--J", "1"], "--J"),
+    (["check", "--x", "0.6,0.6", "--p", "0.5"], "--p"),
+    (["check", "--variant", "symmetric", "--x", "0.6,0.6"], "--x"),
+], ids=["prob-state-K", "prob-test-seq", "indep-neg-J", "check-general-p", "check-symmetric-x"])
+def test_flag_the_mode_does_not_read_exits_2(capsys, ref_file, argv, flag):
+    code, doc = run(capsys, argv[0], "--instance", ref_file, *argv[1:])
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"].startswith(f"{flag} is not read")
 
 
 def test_sample(capsys, ref_file):
@@ -229,8 +243,6 @@ def test_paper_examples_failure_exits_2(capsys, monkeypatch):
     broken = WorkedExample(
         name="broken",
         description="forced mismatch",
-        test=None,
-        events={},
         checks=(Check(label="bad", expected=0.5, actual=0.9),),
     )
     monkeypatch.setattr(cli, "worked_examples", lambda tol=None: [broken])
@@ -283,6 +295,15 @@ def test_gen_unwritable_out_path_exits_2(capsys, tmp_path):
     assert code == 2
     assert doc["error"]["type"] == "Validation"
     assert str(out) in doc["error"]["message"]
+    assert not out.exists()
+
+
+def test_gen_negative_seed_exits_2(capsys, tmp_path):
+    out = tmp_path / "gen.json"
+    code, doc = run(capsys, "gen", "--kind", "random-povm", "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert "seed" in doc["error"]["message"]
     assert not out.exists()
 
 

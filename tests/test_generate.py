@@ -126,6 +126,12 @@ def test_spec_validation():
         GeneratorSpec(kind="no-such-kind")
 
 
+def test_spec_rejects_negative_seed():
+    # numpy's default_rng would refuse it later with a bare ValueError
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, seed=-1)
+
+
 def test_rarefy_caps_every_marginal():
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=3, local_dim=3, seed=9))
     cap = 0.2

@@ -5,7 +5,7 @@ import pytest
 
 import qlll.events
 import qlll.probability
-from helpers import build_pool
+from helpers import build_pool, complemented
 from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import Event, complete_event
 from qlll.generate import GeneratorKind, GeneratorSpec, generate, zx_measurement_pair, plus_state
@@ -36,7 +36,7 @@ def oracle_nind(a, k, l, tol=DEFAULT_TOL.ind):
     states = []
     for j in range(1, l + 1):
         prefix = tuple(range(1, j + 1))
-        flipped = a.with_complemented(prefix)
+        flipped = complemented(a, prefix)
         try:
             val = pr_test_cond(flipped, prefix, (k,))
         except ConditionOnZeroError:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_pool
+from helpers import build_pool, complemented
 from qlll.errors import BadPError, ConditionOnZeroError, ValidationError
 from qlll.events import Event, Measurement, complete_event
 from qlll.generate import (
@@ -109,11 +109,11 @@ def test_one_pass_matches_definitional_route():
         for i in range(1, n + 1):
             prefix = tuple(range(1, i))
             try:
-                lemma.append(pr_test_cond(a.with_complemented(prefix), prefix, (i,)))
+                lemma.append(pr_test_cond(complemented(a, prefix), prefix, (i,)))
             except ConditionOnZeroError:
                 lemma.append(None)
         all_slots = tuple(range(1, n + 1))
-        lhs = pr_test_marginal(a.with_complemented(all_slots), all_slots)
+        lhs = pr_test_marginal(complemented(a, all_slots), all_slots)
 
         report = check_general(LLLInstance(a, (0.5,) * n))
         assert [r["marginal"] for r in report.assumption_rows] == marginals

@@ -279,7 +279,7 @@ def _variants(a):
     # an empty event at slot 1 makes every K that holds slot 1 condition on zero
     return (
         a,
-        a.with_complemented(a.assigned()),
+        helpers.complemented(a, a.assigned()),
         a.with_event(1, empty_event(a.test.measurements[0])),
     )
 
@@ -366,11 +366,12 @@ def _reference_test_cond(a, K, L, flip=()):
 
 
 def _table_variants(a):
-    # the unassigned-slot variants drop the first or the last slot's event
+    # the unassigned-slot variants drop the first or the last slot's event; a
+    # complete event at slot 1 leaves every later avoided prefix at probability 0
     return _variants(a) + tuple(
         TestEventAssignment(a.test, {i: e for i, e in a.events.items() if i != drop})
         for drop in (1, a.n)
-    )
+    ) + (a.with_event(1, complete_event(a.test.measurements[0])),)
 
 
 def test_channel_table_matches_padded_event_sequences(pool40):

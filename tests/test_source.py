@@ -33,3 +33,21 @@ def test_only_the_probability_layer_builds_channels():
                 if called in builders:
                     found.append(f"{name}:{node.lineno} {called}")
     assert found == []
+
+
+def test_library_imports_are_used():
+    # __init__.py imports only to re-export, so it is left out
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert files
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``; ``from m import x as y`` binds ``y``
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []
