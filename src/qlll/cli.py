@@ -3,8 +3,8 @@
 Verbs: prob, cond, indep, profile, check, sample, paper-examples, gen.
 Each verb returns its JSON document and exit code, and ``main`` prints the
 document on stdout (compact by default, ``--pretty`` to indent); ``gen``
-writes its instance file itself.  A flag that the chosen mode or variant
-does not read is a validation error.
+writes its instance file itself.  A flag that the chosen mode, variant or
+generator kind does not read is a validation error.
 Exit codes: 0 success / bounds hold; 1 conditioning on a zero-probability
 sequence or a failed hypothesis; 2 parse, validation or internal errors.
 """
@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .events import parse_event_seq, resolve_event_spec
-from .generate import GeneratorKind, GeneratorSpec, generate, worked_examples
+from .generate import _READS, GeneratorKind, GeneratorSpec, generate, worked_examples
 from .independence import IndependenceQuery, _difference, _neg_difference, compute_profile
 from .linalg import DEFAULT_TOL
 from .lll import LLLInstance, check_general, check_symmetric
@@ -197,16 +197,23 @@ def cmd_paper_examples(args) -> tuple[dict, int]:
 
 
 def cmd_gen(args) -> tuple[None, int]:
-    """Write the instance file itself: to ``--out``, or to stdout."""
-    spec = GeneratorSpec(
-        kind=args.kind,
-        n=args.n,
-        local_dim=args.local_dim,
-        window=args.window,
-        seed=args.seed,
-        outcomes=args.outcomes,
-    )
-    a = generate(spec)
+    """Write the instance file itself: to ``--out``, or to stdout.
+
+    Only the flags given reach ``GeneratorSpec``, which holds the defaults;
+    a flag that the kind does not read is an error.
+    """
+    context = f"gen --kind {args.kind}"
+    reads = _READS[GeneratorKind(args.kind)]
+    given = {}
+    for field in ("n", "local_dim", "window", "seed", "outcomes"):
+        value = getattr(args, field)
+        if field not in reads:
+            _unread(value, "--" + field.replace("_", "-"), context)
+        elif value is not None:
+            given[field] = value
+    if "seed" in reads and "seed" not in given:
+        raise ValidationError(f"{context} needs --seed")
+    a = generate(GeneratorSpec(kind=args.kind, **given))
     # validated as a check would take them: one weight per slot, each in (0, 1]
     x = LLLInstance(a, _weights(args.x)).x if args.x else None
     text = dump_instance(a, x=x, pretty=args.pretty)
@@ -284,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an instance file")
     common(p, instance=False)
     p.add_argument("--kind", required=True, choices=[k.value for k in GeneratorKind])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--local-dim", type=int, default=2, dest="local_dim")
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--local-dim", type=int, dest="local_dim")
+    p.add_argument("--window", type=int)
+    p.add_argument("--seed", type=int, help="required by the random kinds")
     p.add_argument("--outcomes", type=int)
     p.add_argument("--x", help="embed weights into the file")
     p.add_argument("--out", help="write to a file instead of stdout")

@@ -209,8 +209,7 @@ def super_operator_of(event: Event) -> SuperOperator:
     return SuperOperator(kraus=kraus, dim=m.dim)
 
 
-_FULL_RE = re.compile(r"^\s*full\(\s*M(\d+)\s*\)\s*$")
-_EMPTY_RE = re.compile(r"^\s*empty\(\s*M(\d+)\s*\)\s*$")
+_MARKER_RE = re.compile(r"^\s*(full|empty)\(\s*M(\d+)\s*\)\s*$")
 _IN_RE = re.compile(r"^\s*M(\d+)\s+in\s+\{([^{}]*)\}\s*$")
 _EQ_RE = re.compile(r"^\s*M(\d+)\s*=\s*(\S+)\s*$")
 
@@ -222,12 +221,9 @@ def parse_event_expr(text: str) -> tuple[int, str | frozenset[str]]:
     ``empty(M<i>)``.  Returns ``(index, spec)`` where spec is the marker
     ``"full"``/``"empty"`` or a frozenset of labels.
     """
-    m = _FULL_RE.match(text)
+    m = _MARKER_RE.match(text)
     if m:
-        return int(m.group(1)), "full"
-    m = _EMPTY_RE.match(text)
-    if m:
-        return int(m.group(1)), "empty"
+        return int(m.group(2)), m.group(1)
     m = _IN_RE.match(text)
     if m:
         body = m.group(2).strip()

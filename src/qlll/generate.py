@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -51,12 +51,7 @@ EXAMPLE_TOL = 1e-9
 
 
 def computational_measurement(dim: int = 2, name: str = "Z") -> Measurement:
-    kraus = {}
-    for j in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[j, j] = 1.0
-        kraus[str(j)] = p
-    return Measurement(name, kraus)
+    return rotated_qubit_measurement(0.0, name, dim)
 
 
 def rotated_qubit_measurement(theta: float, name: str, dim: int = 2) -> Measurement:
@@ -180,8 +175,9 @@ class GeneratorKind(str, Enum):
 class GeneratorSpec:
     """Parameters of a random instance family.
 
-    ``outcomes`` fixes the spectrum size for the random kinds; when None a
-    seeded choice of 2..3 is made per measurement.
+    ``outcomes`` fixes the spectrum size for the kinds that read it; when
+    None a seeded choice of 2..3 is made per measurement.  ``_READS`` lists
+    the fields each kind reads.
     """
 
     kind: GeneratorKind
@@ -223,10 +219,6 @@ def _reference_instance() -> TestEventAssignment:
     )
 
 
-# what a random family builds: its measurements (slot order) and its state
-_Family = tuple[list[Measurement], DensityOperator]
-
-
 def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> DensityOperator:
     state = np.array([[1.0]], dtype=complex)
     for _ in range(count):
@@ -234,87 +226,87 @@ def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> Dens
     return validate_density(state, FULL)
 
 
-def _gen_tensor(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
-    count = spec.n
-    check_dimension(spec.local_dim**count)
-    measurements = []
-    for i in range(1, spec.n + 1):
-        k = _spectrum_size(spec, rng, spec.local_dim)
-        local = random_projective_measurement(spec.local_dim, k, rng, f"M{i}")
-        kraus = {
-            lab: _embed(local.kraus[lab], i - 1, 1, count, spec.local_dim)
-            for lab in local.spectrum
-        }
-        measurements.append(Measurement(f"M{i}", kraus))
-    return measurements, _product_state(count, spec.local_dim, rng)
+# Each builder returns the measurement at slot i of a family whose state
+# lives on *sites* subsystems of dimension ``spec.local_dim``.
 
 
-def _gen_window(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
-    if spec.local_dim > 9:
-        raise ValidationError("sliding-window labels need local_dim <= 9")
-    count = spec.n + spec.window - 1
-    check_dimension(spec.local_dim**count)
-    measurements = []
-    for i in range(1, spec.n + 1):
-        bases = [haar_unitary(spec.local_dim, rng) for _ in range(spec.window)]
-        kraus = {}
-        for combo in itertools.product(range(spec.local_dim), repeat=spec.window):
-            op = np.array([[1.0]], dtype=complex)
-            for w, c in enumerate(combo):
-                vec = bases[w][:, c : c + 1]
-                op = np.kron(op, vec @ vec.conj().T)
-            label = "".join(str(c) for c in combo)
-            kraus[label] = _embed(op, i - 1, spec.window, count, spec.local_dim)
-        measurements.append(Measurement(f"M{i}", kraus))
-    return measurements, _product_state(count, spec.local_dim, rng)
+def _tensor_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
+    k = _spectrum_size(spec, rng, spec.local_dim)
+    local = random_projective_measurement(spec.local_dim, k, rng, f"M{i}")
+    kraus = {
+        lab: _embed(local.kraus[lab], i - 1, 1, sites, spec.local_dim)
+        for lab in local.spectrum
+    }
+    return Measurement(f"M{i}", kraus)
 
 
-def _gen_chain(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
-    check_dimension(spec.local_dim)
-    measurements = [
-        rotated_qubit_measurement((i - 1) * math.pi / 8, f"M{i}", spec.local_dim)
-        for i in range(1, spec.n + 1)
-    ]
-    return measurements, ginibre_state(spec.local_dim, rng)
+def _window_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
+    bases = [haar_unitary(spec.local_dim, rng) for _ in range(spec.window)]
+    kraus = {}
+    for combo in itertools.product(range(spec.local_dim), repeat=spec.window):
+        op = np.array([[1.0]], dtype=complex)
+        for w, c in enumerate(combo):
+            vec = bases[w][:, c : c + 1]
+            op = np.kron(op, vec @ vec.conj().T)
+        label = "".join(str(c) for c in combo)
+        kraus[label] = _embed(op, i - 1, spec.window, sites, spec.local_dim)
+    return Measurement(f"M{i}", kraus)
 
 
-def _gen_single_space(spec: GeneratorSpec, rng: np.random.Generator) -> _Family:
-    check_dimension(spec.local_dim)
-    projective = spec.kind is GeneratorKind.RANDOM_PROJECTIVE
-    builder = random_projective_measurement if projective else random_povm_measurement
-    measurements = []
-    for i in range(1, spec.n + 1):
-        if projective:
-            k = _spectrum_size(spec, rng, spec.local_dim)
-        elif spec.outcomes is not None:
-            k = spec.outcomes
-        else:
-            k = int(rng.integers(2, 4))
-        measurements.append(builder(spec.local_dim, k, rng, f"M{i}"))
-    return measurements, ginibre_state(spec.local_dim, rng)
+def _chain_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
+    return rotated_qubit_measurement((i - 1) * math.pi / 8, f"M{i}", spec.local_dim)
 
 
-# each family draws its measurements from the rng, then its state
-_FAMILIES = {
-    GeneratorKind.TENSOR_PRODUCT: _gen_tensor,
-    GeneratorKind.SLIDING_WINDOW: _gen_window,
-    GeneratorKind.DEPENDENT_CHAIN: _gen_chain,
-    GeneratorKind.RANDOM_PROJECTIVE: _gen_single_space,
-    GeneratorKind.RANDOM_POVM: _gen_single_space,
+def _projective_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
+    k = _spectrum_size(spec, rng, spec.local_dim)
+    return random_projective_measurement(spec.local_dim, k, rng, f"M{i}")
+
+
+def _povm_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
+    k = _spectrum_size(spec, rng, math.inf)
+    return random_povm_measurement(spec.local_dim, k, rng, f"M{i}")
+
+
+_SLOTS = {
+    GeneratorKind.TENSOR_PRODUCT: _tensor_slot,
+    GeneratorKind.SLIDING_WINDOW: _window_slot,
+    GeneratorKind.DEPENDENT_CHAIN: _chain_slot,
+    GeneratorKind.RANDOM_PROJECTIVE: _projective_slot,
+    GeneratorKind.RANDOM_POVM: _povm_slot,
+}
+
+# the GeneratorSpec fields each kind reads; every other field leaves its
+# instances unchanged
+_READS = {
+    GeneratorKind.PAPER_EXAMPLES: frozenset(),
+    GeneratorKind.TENSOR_PRODUCT: frozenset({"n", "local_dim", "seed", "outcomes"}),
+    GeneratorKind.SLIDING_WINDOW: frozenset({"n", "local_dim", "window", "seed"}),
+    GeneratorKind.DEPENDENT_CHAIN: frozenset({"n", "local_dim", "seed"}),
+    GeneratorKind.RANDOM_PROJECTIVE: frozenset({"n", "local_dim", "seed", "outcomes"}),
+    GeneratorKind.RANDOM_POVM: frozenset({"n", "local_dim", "seed", "outcomes"}),
 }
 
 
 def generate(spec: GeneratorSpec) -> TestEventAssignment:
     """Build the instance described by *spec* (deterministic in ``spec.seed``).
 
-    Every random family draws its measurements, then its state, then one
+    Every random family draws its measurements slot by slot, then a product
+    state over its subsystems (one for the single-space kinds), then one
     event per slot: a single outcome for ``dependent-chain``, a random
     proper subset of the spectrum otherwise.
     """
     if spec.kind is GeneratorKind.PAPER_EXAMPLES:
         return _reference_instance()
+    if spec.kind is GeneratorKind.SLIDING_WINDOW and spec.local_dim > 9:
+        raise ValidationError("sliding-window labels need local_dim <= 9")
+    sites = {
+        GeneratorKind.TENSOR_PRODUCT: spec.n,
+        GeneratorKind.SLIDING_WINDOW: spec.n + spec.window - 1,
+    }.get(spec.kind, 1)
+    check_dimension(spec.local_dim**sites)
     rng = np.random.default_rng(spec.seed)
-    measurements, state = _FAMILIES[spec.kind](spec, rng)
+    measurements = [_SLOTS[spec.kind](spec, rng, i, sites) for i in range(1, spec.n + 1)]
+    state = _product_state(sites, spec.local_dim, rng)
     events = {}
     for i, m in enumerate(measurements, start=1):
         if spec.kind is GeneratorKind.DEPENDENT_CHAIN:
@@ -394,12 +386,7 @@ class Check:
         return abs(self.actual - self.expected) <= EXAMPLE_TOL
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,16 @@ from .linalg import DEFAULT_TOL, ToleranceConfig
 from .probability import TestEventAssignment, _test_cond, check_index_set, pr_test_cond, pr_test_marginal
 
 
+def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[int, ...]:
+    """Check that *K* is an index set lying strictly before the target slot *i*."""
+    K = check_index_set(K, a.n)
+    if not (1 <= i <= a.n):
+        raise ValidationError(f"target index {i} outside 1..{a.n}")
+    if K and K[-1] >= i:
+        raise ValidationError(f"conditioning slots {list(K)} must lie strictly before target {i}")
+    return K
+
+
 @dataclass(frozen=True)
 class IndependenceQuery:
     """Is the event at slot *i* independent of the events at *J*, relative to those at ``K - J``?"""
@@ -27,15 +37,8 @@ class IndependenceQuery:
     J: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.assignment.n
-        object.__setattr__(self, "K", check_index_set(self.K, n))
-        object.__setattr__(self, "J", check_index_set(self.J, n))
-        if not (1 <= self.i <= n):
-            raise ValidationError(f"target index {self.i} outside 1..{n}")
-        if self.K and self.K[-1] >= self.i:
-            raise ValidationError(
-                f"conditioning slots {list(self.K)} must lie strictly before target {self.i}"
-            )
+        object.__setattr__(self, "K", _before_target(self.assignment, self.i, self.K))
+        object.__setattr__(self, "J", check_index_set(self.J, self.assignment.n))
         if not set(self.J) <= set(self.K):
             raise ValidationError(f"J {list(self.J)} must be a subset of K {list(self.K)}")
 
@@ -56,12 +59,8 @@ def _neg_difference(
     a: TestEventAssignment, i: int, K: Iterable[int], tol: ToleranceConfig
 ) -> tuple[float, bool]:
     """``|Pr[E_i | not-E_K] - Pr[E_i]|`` and whether it is within ``tol.ind``."""
-    K = check_index_set(K, a.n)
-    if K and K[-1] >= i:
-        raise ValidationError(
-            f"conditioning slots {list(K)} must lie strictly before target {i}"
-        )
-    conditional = _test_cond(a, K, check_index_set((i,), a.n), a._miss, tol)
+    K = _before_target(a, i, K)
+    conditional = _test_cond(a, K, (i,), a._miss, tol)
     return _decide(conditional, pr_test_marginal(a, (i,), tol), tol)
 
 

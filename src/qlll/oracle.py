@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, InternalConsistencyError, ValidationError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import Test, TestEventAssignment, check_index_set
+from .probability import Test, TestEventAssignment, _clamp_probability, check_index_set
 
 DEFAULT_ENUM_CAP = 10**6
 SAMPLER_ALGORITHM = "numpy:PCG64"
@@ -85,11 +85,7 @@ def enumerate_probability(
     total = 0.0
     for _, p in _trajectories(a.test, choices, cap):
         total += p
-    if total < -tol.prob or total > 1.0 + tol.prob:
-        raise InternalConsistencyError(
-            f"enumerated probability {total!r} strays outside [0,1]", value=total
-        )
-    return min(max(total, 0.0), 1.0)
+    return _clamp_probability(total, tol)
 
 
 def trajectory_distribution(

@@ -30,6 +30,15 @@ from .probability import Test, TestEventAssignment
 FORMAT_VERSION = 1
 
 
+def _integer(value: Any) -> bool:
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value: Any) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
@@ -48,7 +57,7 @@ def matrix_from_json(rows: Any, dim: int | None = None) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
+                or not all(_number(part) for part in entry)
             ):
                 raise ParseError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
             out[r, c] = complex(entry[0], entry[1])
@@ -92,10 +101,11 @@ def instance_from_dict(
     """Parse and validate the wire dict; returns (test, assignment-or-None, x-or-None)."""
     if not isinstance(doc, dict):
         raise ParseError("instance file must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {doc.get('version')!r}")
+    version = doc.get("version")
+    if not _integer(version) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format version {version!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _integer(dim) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
     state = validate_density(matrix_from_json(doc.get("state"), dim), FULL, tol)
 
@@ -132,10 +142,10 @@ def instance_from_dict(
                 raise ParseError("each event needs 'measurement' (1-based) and 'in' (labels)")
             idx = raw["measurement"]
             labels = raw["in"]
-            if not isinstance(idx, int):
+            if not _integer(idx):
                 raise ParseError(f"event measurement index must be an integer, got {idx!r}")
             if not isinstance(labels, list) or not all(isinstance(o, str) for o in labels):
-                raise ParseError(f"event 'in' must be an array of outcome labels")
+                raise ParseError("event 'in' must be an array of outcome labels")
             if idx in events:
                 raise ParseError(f"duplicate event for measurement {idx}")
             events[idx] = resolve_event_spec(measurements, idx, frozenset(labels))
@@ -144,9 +154,7 @@ def instance_from_dict(
     x = None
     if "x" in doc:
         raw_x = doc["x"]
-        if not isinstance(raw_x, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw_x
-        ):
+        if not isinstance(raw_x, list) or not all(_number(v) for v in raw_x):
             raise ParseError("x must be an array of numbers")
         x = tuple(float(v) for v in raw_x)
 

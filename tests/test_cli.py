@@ -10,7 +10,7 @@ import pytest
 from test_lll import two_qubit_instance
 from qlll import cli
 from qlll.events import SuperOperator
-from qlll.generate import Check, WorkedExample
+from qlll.generate import Check, GeneratorKind, GeneratorSpec, WorkedExample, generate
 from qlll.schemas import (
     COMMAND_SCHEMAS,
     ERROR_SCHEMA,
@@ -39,7 +39,7 @@ def run(capsys, *argv):
 @pytest.fixture(scope="module")
 def ref_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "reference.json"
-    code = cli.main(["gen", "--kind", "paper-examples", "--seed", "0", "--out", str(path)])
+    code = cli.main(["gen", "--kind", "paper-examples", "--out", str(path)])
     assert code == 0
     return str(path)
 
@@ -280,7 +280,7 @@ def test_gen_non_numeric_weights_exit_2(capsys):
 ], ids=["nan-weight", "one-weight"])
 def test_gen_rejects_weights_a_check_would_refuse(capsys, tmp_path, weights, message):
     out = tmp_path / "gen.json"
-    code, doc = run(capsys, "gen", "--kind", "paper-examples", "--seed", "1", "--x", weights,
+    code, doc = run(capsys, "gen", "--kind", "paper-examples", "--x", weights,
                     "--out", str(out))
     assert code == 2
     assert doc["error"]["type"] == "Validation"
@@ -384,3 +384,97 @@ def test_indep_neg_rejects_condition_after_target(capsys, ref_file):
     code, doc = run(capsys, "indep", "--instance", ref_file, "--neg", "--i", "1", "--K", "2")
     assert code == 2
     assert doc["error"]["type"] == "Validation"
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("paper-examples", "--n", "3"),
+    ("paper-examples", "--local-dim", "3"),
+    ("paper-examples", "--window", "2"),
+    ("paper-examples", "--seed", "0"),
+    ("paper-examples", "--outcomes", "2"),
+    ("tensor-product", "--window", "7"),
+    ("sliding-window", "--outcomes", "2"),
+    ("dependent-chain", "--window", "2"),
+    ("dependent-chain", "--outcomes", "2"),
+    ("random-projective", "--window", "2"),
+    ("random-povm", "--window", "2"),
+])
+def test_gen_flag_the_kind_does_not_read_exits_2(capsys, tmp_path, kind, flag, value):
+    out = tmp_path / "gen.json"
+    seed = [] if kind == "paper-examples" or flag == "--seed" else ["--seed", "1"]
+    code, doc = run(capsys, "gen", "--kind", kind, *seed, flag, value, "--out", str(out))
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"] == f"{flag} is not read by gen --kind {kind}"
+    assert not out.exists()
+
+
+def test_gen_random_kind_needs_seed(capsys):
+    code, doc = run(capsys, "gen", "--kind", "tensor-product", "--n", "2")
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"] == "gen --kind tensor-product needs --seed"
+
+
+def test_gen_defaults_to_two_slots(capsys):
+    code, doc = run(capsys, "gen", "--kind", "random-povm", "--seed", "4")
+    assert code == 0
+    assert len(doc["measurements"]) == 2
+    assert doc["dim"] == 2
+
+
+def test_prob_test_mode_needs_K(capsys, ref_file):
+    code, doc = run(capsys, "prob", "--instance", ref_file)
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"] == "test mode needs --K"
+
+
+@pytest.mark.parametrize("argv", [["--K", "1"], ["--L", "2"], []], ids=["no-L", "no-K", "neither"])
+def test_cond_needs_K_and_L(capsys, ref_file, argv):
+    code, doc = run(capsys, "cond", "--instance", ref_file, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"] == "cond needs --K (conditioning) and --L (target)"
+
+
+def test_state_mode_markers(capsys, ref_file):
+    _, listed = run(capsys, "prob", "--instance", ref_file, "--mode", "state",
+                    "--seq", "M1 in {0,1};M2=0")
+    code, full = run(capsys, "prob", "--instance", ref_file, "--mode", "state",
+                     "--seq", "full(M1);M2=0")
+    assert code == 0
+    assert full["value"] == listed["value"]
+    assert full["query"] == listed["query"]
+    code, empty = run(capsys, "prob", "--instance", ref_file, "--mode", "state",
+                      "--seq", " empty( M1 ) ;M2=0")
+    assert code == 0
+    assert empty["value"] == 0.0
+    assert empty["query"]["seq"][0] == {"measurement": "M1", "in": []}
+
+
+def test_sample_exact_past_the_enumeration_cap(capsys, tmp_path):
+    # d=2 forces two outcomes per slot: 2**20 trajectories, above the 10**6 cap
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=20, local_dim=2, seed=3))
+    path = tmp_path / "long.json"
+    path.write_text(dumps(a) + "\n")
+    code, doc = run(capsys, "sample", "--instance", str(path), "--n", "20", "--seed", "1")
+    assert code == 0
+    assert doc["exact"] is None
+    assert doc["discrepancy_sigma"] is None
+    code, doc = run(capsys, "sample", "--instance", str(path), "--n", "20", "--seed", "1",
+                    "--exact")
+    assert code == 2
+    assert doc["error"]["type"] == "EnumerationCapExceeded"
+    assert doc["error"]["detail"] == {"grid": 2**20, "cap": 10**6}
+
+
+def test_boolean_version_exits_2(capsys, ref_file, tmp_path):
+    doc = ref_doc(ref_file)
+    doc["version"] = True
+    path = tmp_path / "bool-version.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    assert code == 2
+    assert out["error"]["type"] == "Parse"
+    assert "version" in out["error"]["message"]

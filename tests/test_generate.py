@@ -6,6 +6,7 @@ import pytest
 
 from qlll.errors import ValidationError
 from qlll.generate import (
+    _READS,
     GeneratorKind,
     GeneratorSpec,
     generate,
@@ -130,6 +131,28 @@ def test_spec_rejects_negative_seed():
     # numpy's default_rng would refuse it later with a bare ValueError
     with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
         GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, seed=-1)
+
+
+# every spec field, at a base value and at one that changes any family reading it;
+# local_dim=3 lets outcomes=2 differ from the seeded spectrum size
+READ_BASE = dict(n=2, local_dim=3, window=1, seed=5, outcomes=None)
+READ_VARIED = dict(n=3, local_dim=2, window=2, seed=6, outcomes=2)
+
+
+@pytest.mark.parametrize("kind", list(GeneratorKind), ids=lambda k: k.value)
+def test_read_table_matches_behaviour(kind):
+    base = dumps(generate(GeneratorSpec(kind=kind, **READ_BASE)))
+    for field, value in READ_VARIED.items():
+        varied = dumps(generate(GeneratorSpec(kind=kind, **{**READ_BASE, field: value})))
+        assert (varied != base) == (field in _READS[kind]), field
+
+
+def test_sliding_window_label_check_comes_before_the_dimension_cap():
+    # 10**3 exceeds the dimension cap, but the label limit is what is reported
+    spec = GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=2, local_dim=10, window=2, seed=0)
+    with pytest.raises(ValidationError, match="local_dim <= 9") as exc:
+        generate(spec)
+    assert exc.value.code == "Validation"
 
 
 def test_rarefy_caps_every_marginal():

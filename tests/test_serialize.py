@@ -97,6 +97,46 @@ def test_parse_errors(mutate, message):
         loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(version=True), "version"),
+        (lambda d: d.update(dim=True), "dim"),
+        (lambda d: d["events"][0].update(measurement=True), "integer"),
+    ],
+    ids=["version", "dim", "event-measurement"],
+)
+def test_json_booleans_are_not_integers(mutate, message):
+    doc = reference_doc()
+    mutate(doc)
+    with pytest.raises(ParseError, match=message):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["measurements"].__setitem__(0, "M1"), "measurement 1 must be an object"),
+        (lambda d: d.update(events={"1": ["0"]}), "events must be an array"),
+        (lambda d: d["events"][0].update({"in": "0"}), "event 'in' must be an array"),
+        (lambda d: d["measurements"][0].update(outcomes=[], kraus=[]), "at least one outcome"),
+        (lambda d: d["measurements"][0].update(outcomes=["0", "0"]), "duplicate outcome labels"),
+        (lambda d: d["measurements"][0].update(outcomes=["", "1"]), "non-empty"),
+    ],
+    ids=["measurement", "events", "event-in", "no-outcomes", "duplicate-label", "empty-label"],
+)
+def test_instance_shape_errors(mutate, message):
+    doc = reference_doc()
+    mutate(doc)
+    with pytest.raises(ValidationError, match=message):
+        loads(json.dumps(doc))
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        loads(json.dumps([reference_doc()]))
+
+
 def test_stray_event_outcome_rejected():
     doc = reference_doc()
     doc["events"][0]["in"] = ["0", "zebra"]

@@ -51,3 +51,26 @@ def test_library_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_fstrings_have_placeholders():
+    # a format spec such as the ``.3e`` in f"{x:.3e}" is itself a JoinedStr
+    # without placeholders, so those nested nodes are left out
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        specs = {
+            id(node.format_spec)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr)
+            and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+        ]
+    assert found == []
