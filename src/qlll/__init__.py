@@ -50,7 +50,6 @@ from .generate import (
 )
 from .independence import (
     DependenceProfile,
-    IndependenceQuery,
     compute_profile,
     is_independent,
     is_neg_independent,
@@ -74,7 +73,6 @@ from .lll import (
 )
 from .oracle import (
     SampleEstimate,
-    Trajectory,
     enumerate_probability,
     sample_trajectories,
     trajectory_distribution,

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .events import parse_event_seq, resolve_event_spec
 from .generate import _READS, GeneratorKind, GeneratorSpec, generate, worked_examples
-from .independence import IndependenceQuery, _difference, _neg_difference, compute_profile
+from .independence import _difference, _neg_difference, compute_profile
 from .linalg import DEFAULT_TOL
 from .lll import LLLInstance, check_general, check_symmetric
 from .oracle import enumerate_probability, sample_trajectories
@@ -121,7 +121,7 @@ def cmd_indep(args) -> tuple[dict, int]:
     if args.neg:
         difference, result = _neg_difference(a, args.i, K, tol)
     else:
-        difference, result = _difference(IndependenceQuery(a, args.i, K, J), tol)
+        difference, result = _difference(a, args.i, K, J, tol)
     doc = {
         "command": "indep",
         "query": {"i": args.i, "K": list(K), "J": list(J), "negated": bool(args.neg)},

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import Event, Measurement, complement, complete_event
-from .linalg import DEFAULT_TOL, FULL, DensityOperator, ToleranceConfig, check_dimension, validate_density
+from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, check_dimension, validate_density
 from .lll import LLLInstance, check_general
 from .probability import (
     Test,
@@ -79,12 +79,12 @@ def zx_measurement_pair() -> tuple[Measurement, Measurement]:
 
 
 def plus_state() -> DensityOperator:
-    return validate_density(np.full((2, 2), 0.5, dtype=complex), FULL)
+    return validate_density(np.full((2, 2), 0.5, dtype=complex))
 
 
 def minus_state() -> DensityOperator:
     m = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    return validate_density(m, FULL)
+    return validate_density(m)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def ginibre_state(dim: int, rng: np.random.Generator) -> DensityOperator:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return validate_density(rho, FULL)
+    return validate_density(rho)
 
 
 def random_projective_measurement(
@@ -223,7 +223,7 @@ def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> Dens
     state = np.array([[1.0]], dtype=complex)
     for _ in range(count):
         state = np.kron(state, ginibre_state(local_dim, rng).matrix)
-    return validate_density(state, FULL)
+    return validate_density(state)
 
 
 # Each builder returns the measurement at slot i of a family whose state

@@ -27,32 +27,21 @@ def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[in
     return K
 
 
-@dataclass(frozen=True)
-class IndependenceQuery:
-    """Is the event at slot *i* independent of the events at *J*, relative to those at ``K - J``?"""
-
-    assignment: TestEventAssignment
-    i: int
-    K: tuple[int, ...]
-    J: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", _before_target(self.assignment, self.i, self.K))
-        object.__setattr__(self, "J", check_index_set(self.J, self.assignment.n))
-        if not set(self.J) <= set(self.K):
-            raise ValidationError(f"J {list(self.J)} must be a subset of K {list(self.K)}")
-
-
 def _decide(lhs: float, rhs: float, tol: ToleranceConfig) -> tuple[float, bool]:
     difference = abs(lhs - rhs)
     return difference, difference <= tol.ind
 
 
-def _difference(query: IndependenceQuery, tol: ToleranceConfig) -> tuple[float, bool]:
+def _difference(
+    a: TestEventAssignment, i: int, K: Iterable[int], J: Iterable[int] | None, tol: ToleranceConfig
+) -> tuple[float, bool]:
     """``|Pr[E_i | E_K] - Pr[E_i | E_{K-J}]|`` and whether it is within ``tol.ind``."""
-    a, i = query.assignment, query.i
-    rest = tuple(j for j in query.K if j not in set(query.J))
-    return _decide(pr_test_cond(a, query.K, (i,), tol), pr_test_cond(a, rest, (i,), tol), tol)
+    K = _before_target(a, i, K)
+    J = K if J is None else check_index_set(J, a.n)
+    if not set(J) <= set(K):
+        raise ValidationError(f"J {list(J)} must be a subset of K {list(K)}")
+    rest = tuple(j for j in K if j not in set(J))
+    return _decide(pr_test_cond(a, K, (i,), tol), pr_test_cond(a, rest, (i,), tol), tol)
 
 
 def _neg_difference(
@@ -64,14 +53,21 @@ def _neg_difference(
     return _decide(conditional, pr_test_marginal(a, (i,), tol), tol)
 
 
-def is_independent(query: IndependenceQuery, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Compare Pr[E_i | E_K] with Pr[E_i | E_{K-J}] at ``tol.ind``.
+def is_independent(
+    a: TestEventAssignment,
+    i: int,
+    K: Iterable[int],
+    J: Iterable[int] | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> bool:
+    """Is the event at slot *i* independent of those at *J*, relative to those at ``K - J``?
 
-    With ``J == K`` the comparison is against the unconditional marginal.
+    Compares Pr[E_i | E_K] with Pr[E_i | E_{K-J}] at ``tol.ind``.  *J*
+    defaults to all of *K*, a comparison against the unconditional marginal.
     Raises ``ConditionOnZeroError`` when either conditioning probability is
     numerically zero; the answer is then undefined, not false.
     """
-    return _difference(query, tol)[1]
+    return _difference(a, i, K, J, tol)[1]
 
 
 def is_neg_independent(
@@ -118,7 +114,6 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
     n = a.n
     table: dict[tuple[int, int], bool | None] = {}
     s = [0] * n
-    d_min = 0
     for k in range(2, n + 1):
         state: bool | None = True
         for l in range(1, k):
@@ -131,6 +126,7 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
             table[(k, l)] = state
             if state is True:
                 s[k - 1] = l
-            else:
-                d_min = max(d_min, k - l)
+    # each target's True entries are exactly l = 1..s_k, so its largest
+    # dependent k - l sits at l = s_k + 1
+    d_min = max(k - 1 - s[k - 1] for k in range(1, n + 1))
     return DependenceProfile(n=n, s=tuple(s), table=table, d_min=d_min)

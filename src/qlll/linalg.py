@@ -27,10 +27,6 @@ from .errors import (
 DEFAULT_DIM_CAP = 64
 DIM_CAP_ENV = "QLLL_DIM_CAP"
 
-FULL = "full"
-PARTIAL = "partial"
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical tolerances used by validity checks and probability queries.
@@ -43,8 +39,7 @@ class ToleranceConfig:
         How far below zero an eigenvalue may drift before the matrix is
         rejected as not positive semidefinite.
     trace : float
-        Slack for trace conditions (``= 1`` for full states, ``<= 1`` for
-        partial ones).
+        Slack for the unit-trace condition on states.
     complete : float
         Max-norm slack for the measurement completeness relation.
     prob : float
@@ -134,14 +129,9 @@ def trace(a: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A validated density operator; build it with :func:`validate_density`.
-
-    ``kind`` is ``"full"`` (trace one) or ``"partial"`` (trace at most one,
-    the un-normalized states produced by event super-operators).
-    """
+    """A validated unit-trace density operator; build it with :func:`validate_density`."""
 
     matrix: np.ndarray
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -152,8 +142,8 @@ class DensityOperator:
         return float(np.trace(self.matrix).real)
 
 
-def validate_density(matrix, kind: str = FULL, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
-    """Check Hermiticity, positivity and trace; return a ``DensityOperator``.
+def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
+    """Check Hermiticity, positivity and unit trace; return a ``DensityOperator``.
 
     Positivity is decided on the eigenvalues of the hermitized matrix
     ``(M + M^dagger)/2`` so the check is well-posed under rounding.
@@ -163,8 +153,6 @@ def validate_density(matrix, kind: str = FULL, tol: ToleranceConfig = DEFAULT_TO
     NotHermitianError, NotPositiveError, BadTraceError
         With the offending residual in ``detail``.
     """
-    if kind not in (FULL, PARTIAL):
-        raise ValidationError(f"kind must be 'full' or 'partial', got {kind!r}")
     m = as_matrix(matrix)
     check_dimension(m.shape[0])
     herm_residual = float(np.abs(m - m.conj().T).max())
@@ -187,12 +175,8 @@ def validate_density(matrix, kind: str = FULL, tol: ToleranceConfig = DEFAULT_TO
             f"trace has imaginary part {tr.imag:.3e}", trace_imag=float(tr.imag)
         )
     tr_re = float(tr.real)
-    if kind == FULL and abs(tr_re - 1.0) > tol.trace:
+    if abs(tr_re - 1.0) > tol.trace:
         raise BadTraceError(
             f"full state must have unit trace, got {tr_re!r}", trace=tr_re
         )
-    if kind == PARTIAL and tr_re > 1.0 + tol.trace:
-        raise BadTraceError(
-            f"partial state must have trace at most one, got {tr_re!r}", trace=tr_re
-        )
-    return DensityOperator(matrix=m, kind=kind)
+    return DensityOperator(matrix=m)

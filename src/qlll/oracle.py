@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -31,10 +31,6 @@ SAMPLER_ALGORITHM = "numpy:PCG64"
 _STEP_DRIFT = 1e-6
 # trajectories per batch; each batch draws from its own spawned seed
 _CHUNK = 50_000
-
-
-class Trajectory(NamedTuple):
-    outcomes: tuple[str, ...]
 
 
 def _trajectories(test: Test, choices: list, cap: int):
@@ -90,13 +86,13 @@ def enumerate_probability(
 
 def trajectory_distribution(
     test: Test, cap: int = DEFAULT_ENUM_CAP
-) -> list[tuple[Trajectory, float]]:
-    """All full-horizon trajectories with their probabilities.
+) -> list[tuple[tuple[str, ...], float]]:
+    """All full-horizon ``(outcomes, probability)`` pairs, one per outcome tuple.
 
     The probabilities sum to one up to rounding; the suite asserts this.
     """
     choices = [m.spectrum for m in test.measurements]
-    return [(Trajectory(outcomes=combo), p) for combo, p in _trajectories(test, choices, cap)]
+    return list(_trajectories(test, choices, cap))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .events import Event, Measurement, SuperOperator, complement, complete_event, super_operator_of
-from .linalg import DEFAULT_TOL, FULL, DensityOperator, ToleranceConfig, trace
+from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, trace
 
 
 def _clamp_probability(p: float, tol: ToleranceConfig) -> float:
@@ -71,7 +71,7 @@ def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = 
     """Probability that the events in *seq* occur in order, starting from *rho*.
 
     The first event in *seq* is performed first.  An empty sequence has
-    probability ``trace(rho)`` (one for a full state).
+    probability ``trace(rho)``, which is one up to rounding.
     """
     return _clamp_probability(trace(_walk(rho.matrix, _channels(rho, seq))).real, tol)
 
@@ -122,8 +122,6 @@ class Test:
         object.__setattr__(self, "measurements", tuple(self.measurements))
         if not self.measurements:
             raise ValidationError("a test needs at least one measurement")
-        if self.rho.kind != FULL:
-            raise ValidationError("a test's state must be a full density operator")
         for m in self.measurements:
             if m.dim != self.rho.dim:
                 raise DimensionMismatchError(
@@ -226,7 +224,7 @@ def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceCon
 
     Slots before ``max(K)`` that are not in *K* are padded with the complete
     event of their measurement: the measurement still happens, its outcome is
-    just not inspected.  ``K = ()`` gives probability one.
+    just not inspected.  ``K = ()`` gives ``tr(rho)``, one up to rounding.
     """
     K = check_index_set(K, a.n)
     return _clamp_probability(trace(_walk(a.test.rho.matrix, _padded(a, K, a._hit))).real, tol)
@@ -240,9 +238,9 @@ def pr_test_cond(
 ) -> float:
     """Conditional probability of the events at *L* given those at *K*.
 
-    Requires ``max(K) < min(L)``; an empty *K* denotes the unconditional
-    marginal (denominator one).  The padded sequence of ``K + L`` is walked
-    once: its first ``max(K)`` slots give the conditioning marginal (the
+    Requires ``max(K) < min(L)``; an empty *K* has denominator ``tr(rho)``,
+    one up to rounding.  The padded sequence of ``K + L`` is walked once:
+    its first ``max(K)`` slots give the conditioning marginal (the
     denominator) partway through, and the walk continues to the numerator.
 
     Raises

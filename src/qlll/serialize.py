@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError
 from .events import Event, Measurement, resolve_event_spec
-from .linalg import DEFAULT_TOL, FULL, ToleranceConfig, validate_density
+from .linalg import DEFAULT_TOL, ToleranceConfig, validate_density
 from .probability import Test, TestEventAssignment
 
 FORMAT_VERSION = 1
@@ -107,7 +107,7 @@ def instance_from_dict(
     dim = doc.get("dim")
     if not _integer(dim) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
-    state = validate_density(matrix_from_json(doc.get("state"), dim), FULL, tol)
+    state = validate_density(matrix_from_json(doc.get("state"), dim), tol)
 
     raw_measurements = doc.get("measurements")
     if not isinstance(raw_measurements, list) or not raw_measurements:
@@ -171,7 +171,7 @@ def dumps(a: TestEventAssignment | Test, x=None, pretty: bool = False) -> str:
 def loads(text: str, tol: ToleranceConfig = DEFAULT_TOL):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
     return instance_from_dict(doc, tol)
 
@@ -180,6 +180,6 @@ def load_path(path: str, tol: ToleranceConfig = DEFAULT_TOL):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read instance file {path!r}: {exc}")
     return loads(text, tol)

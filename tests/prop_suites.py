@@ -14,7 +14,7 @@ from helpers import complemented, rand_subset, split_indices, split_two, suite_r
 from qlll.errors import ConditionOnZeroError
 from qlll.events import Event, complement, complete_event, empty_event, union
 from qlll.generate import computational_measurement
-from qlll.independence import IndependenceQuery, is_independent
+from qlll.independence import is_independent
 from qlll.probability import (
     Test,
     TestEventAssignment,
@@ -572,7 +572,7 @@ def suite_ind_complete(pool) -> SuiteResult:
                     continue
                 r.eq(lhs, rhs, f"t={t} i={i} K={K} J={J}")
                 r.check(
-                    is_independent(IndependenceQuery(ac, i, K, J)),
+                    is_independent(ac, i, K, J),
                     f"t={t} i={i} K={K} J={J} flagged dependent",
                 )
                 r.hits += 1

@@ -478,3 +478,38 @@ def test_boolean_version_exits_2(capsys, ref_file, tmp_path):
     assert code == 2
     assert out["error"]["type"] == "Parse"
     assert "version" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("content,prefix", [
+    (b"\xff\xfe", "cannot read instance file"),
+    (b"[" * 200000, "invalid JSON"),
+], ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_malformed_instance_file_exits_2(capsys, tmp_path, content, prefix):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    code, doc = run(capsys, "profile", "--instance", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert doc["error"]["message"].startswith(prefix)
+
+
+def test_non_integer_slot_index_exits_2(capsys, ref_file):
+    code, doc = run(capsys, "prob", "--instance", ref_file, "--K", "1,x")
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert doc["error"]["message"].startswith("expected comma-separated integers")
+
+
+def test_state_mode_empty_sequence_exits_2(capsys, ref_file):
+    code, doc = run(capsys, "prob", "--instance", ref_file, "--mode", "state", "--seq", ";")
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert doc["error"]["message"] == "empty event sequence"
+
+
+def test_cond_on_empty_K_is_the_marginal(capsys, ref_file):
+    code, cond = run(capsys, "cond", "--instance", ref_file, "--K", "", "--L", "2")
+    assert code == 0
+    assert cond["query"] == {"K": [], "L": [2]}
+    _, prob = run(capsys, "prob", "--instance", ref_file, "--K", "2")
+    assert cond["value"] == pytest.approx(prob["value"], abs=1e-12)

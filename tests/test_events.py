@@ -3,6 +3,7 @@ import pytest
 
 from qlll.errors import (
     DifferentMeasurementsError,
+    DimensionMismatchError,
     NotCompleteError,
     ParseError,
     ValidationError,
@@ -20,7 +21,7 @@ from qlll.events import (
     union,
 )
 from qlll.generate import computational_measurement, plus_state, zx_measurement_pair
-from qlll.linalg import FULL, PARTIAL, validate_density
+from qlll.linalg import validate_density
 
 
 def test_computational_measurement_is_projective():
@@ -41,6 +42,11 @@ def test_incomplete_kraus_family_rejected():
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     with pytest.raises(NotCompleteError):
         Measurement("bad", {"0": p0})
+
+
+def test_mixed_operator_dimensions_rejected():
+    with pytest.raises(DimensionMismatchError, match="mixes operator dimensions 2 and 3"):
+        Measurement("mixed", {"0": np.eye(2), "1": np.eye(3)})
 
 
 def test_non_projective_family_detected():
@@ -100,25 +106,25 @@ def test_complete_event_dephases_but_keeps_trace():
     # the full-spectrum map is not the identity map: coherences vanish
     m = computational_measurement(2)
     rho = plus_state()
-    out = validate_density(super_operator_of(complete_event(m))(rho.matrix), PARTIAL)
-    assert np.allclose(out.matrix, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
-    assert out.trace == pytest.approx(rho.trace)
+    out = super_operator_of(complete_event(m))(rho.matrix)
+    assert np.allclose(out, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+    assert np.trace(out).real == pytest.approx(rho.trace)
 
 
 def test_empty_event_super_operator_annihilates():
     m = computational_measurement(2)
-    out = validate_density(super_operator_of(empty_event(m))(plus_state().matrix), PARTIAL)
-    assert np.allclose(out.matrix, 0.0)
+    out = super_operator_of(empty_event(m))(plus_state().matrix)
+    assert np.allclose(out, 0.0)
 
 
 def test_super_operator_sums_selected_branches():
     m = computational_measurement(2)
     s = super_operator_of(Event.of(m, ["1"]))
     assert isinstance(s, SuperOperator)
-    rho = validate_density([[0.25, 0.0], [0.0, 0.75]], FULL)
-    out = validate_density(s(rho.matrix), PARTIAL)
-    assert np.allclose(out.matrix, [[0.0, 0.0], [0.0, 0.75]], atol=1e-12)
-    assert out.trace == pytest.approx(0.75)
+    rho = validate_density([[0.25, 0.0], [0.0, 0.75]])
+    out = s(rho.matrix)
+    assert np.allclose(out, [[0.0, 0.0], [0.0, 0.75]], atol=1e-12)
+    assert np.trace(out).real == pytest.approx(0.75)
 
 
 def test_parse_event_expr_forms():

@@ -9,12 +9,7 @@ from helpers import build_pool, complemented
 from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import Event, complete_event
 from qlll.generate import GeneratorKind, GeneratorSpec, generate, zx_measurement_pair, plus_state
-from qlll.independence import (
-    IndependenceQuery,
-    compute_profile,
-    is_independent,
-    is_neg_independent,
-)
+from qlll.independence import compute_profile, is_independent, is_neg_independent
 from qlll.linalg import DEFAULT_TOL
 from qlll.lll import LLLInstance, check_general
 from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
@@ -52,8 +47,8 @@ def oracle_nind(a, k, l, tol=DEFAULT_TOL.ind):
 
 def test_reference_event_reads_as_independent():
     a = reference()
-    q = IndependenceQuery(a, 2, (1,), (1,))
-    assert is_independent(q)
+    assert is_independent(a, 2, (1,), (1,))
+    assert is_independent(a, 2, (1,))  # J defaults to all of K
     assert pr_test_cond(a, (1,), (2,)) == pytest.approx(0.5, abs=1e-9)
     assert pr_test_marginal(a, (2,)) == pytest.approx(0.5, abs=1e-9)
 
@@ -126,9 +121,9 @@ def test_profile_json_shape():
 def test_query_validation():
     a = reference()
     with pytest.raises(ValidationError):
-        IndependenceQuery(a, 1, (1,), (1,))  # condition not before target
+        is_independent(a, 1, (1,), (1,))  # condition not before target
     with pytest.raises(ValidationError):
-        IndependenceQuery(a, 2, (1,), (2,))  # J outside K
+        is_independent(a, 2, (1,), (2,))  # J outside K
 
 
 def test_dependent_chain_has_a_dependent_pair():

@@ -15,8 +15,6 @@ from qlll.linalg import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
     DIM_CAP_ENV,
-    FULL,
-    PARTIAL,
     ToleranceConfig,
     as_matrix,
     check_dimension,
@@ -62,6 +60,11 @@ def test_as_matrix_rejects_non_square():
         as_matrix([1, 2, 3])
 
 
+def test_as_matrix_rejects_non_numeric_entries():
+    with pytest.raises(ValidationError, match="cannot interpret input as a complex matrix"):
+        as_matrix([[1, "x"], [0, 1]])
+
+
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(NotFiniteError):
         as_matrix([[np.nan, 0], [0, 1]])
@@ -76,40 +79,32 @@ def test_trace_against_numpy():
 
 
 def test_validate_density_accepts_pure_qubit():
-    rho = validate_density([[0.5, 0.5], [0.5, 0.5]], FULL)
+    rho = validate_density([[0.5, 0.5], [0.5, 0.5]])
     assert rho.dim == 2
     assert rho.trace == pytest.approx(1.0)
-    assert rho.kind is FULL
 
 
 def test_validate_density_hermitizes_tiny_asymmetry():
     # asymmetry below the herm tolerance is averaged away, not rejected
-    rho = validate_density([[0.5, 0.5 + 1e-13], [0.5 - 1e-13, 0.5]], FULL)
+    rho = validate_density([[0.5, 0.5 + 1e-13], [0.5 - 1e-13, 0.5]])
     assert np.allclose(rho.matrix, rho.matrix.conj().T)
 
 
 def test_validate_density_rejects_non_hermitian():
     with pytest.raises(NotHermitianError) as exc:
-        validate_density([[0.0, 1.0], [0.0, 1.0]], FULL)
+        validate_density([[0.0, 1.0], [0.0, 1.0]])
     assert exc.value.code == "NotHermitian"
     assert exc.value.to_json()["type"] == "NotHermitian"
 
 
 def test_validate_density_rejects_negative_eigenvalue():
     with pytest.raises(NotPositiveError):
-        validate_density([[1.5, 0.0], [0.0, -0.5]], FULL)
+        validate_density([[1.5, 0.0], [0.0, -0.5]])
 
 
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(BadTraceError):
-        validate_density([[0.6, 0.0], [0.0, 0.6]], FULL)
-
-
-def test_partial_density_allows_trace_below_one():
-    rho = validate_density([[0.3, 0.0], [0.0, 0.2]], PARTIAL)
-    assert rho.trace == pytest.approx(0.5)
-    with pytest.raises(BadTraceError):
-        validate_density([[0.8, 0.0], [0.0, 0.6]], PARTIAL)
+        validate_density([[0.6, 0.0], [0.0, 0.6]])
 
 
 def test_dimension_cap_default(monkeypatch):

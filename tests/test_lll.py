@@ -14,7 +14,7 @@ from qlll.generate import (
     rotated_qubit_measurement,
     zx_measurement_pair,
 )
-from qlll.linalg import FULL, ToleranceConfig, validate_density
+from qlll.linalg import ToleranceConfig, validate_density
 from qlll.lll import LLLInstance, check_general, check_symmetric, symmetric_chain_holds
 from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
 
@@ -41,7 +41,7 @@ def two_qubit_instance():
         lifted.append(Measurement(m.name, kraus))
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    t = Test(validate_density(rho, FULL), tuple(lifted))
+    t = Test(validate_density(rho), tuple(lifted))
     return TestEventAssignment(t, {1: Event.of(lifted[0], ["1"]), 2: Event.of(lifted[1], ["1"])})
 
 

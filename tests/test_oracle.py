@@ -44,8 +44,8 @@ def test_trajectory_distribution_normalizes(pool):
         assert sum(w for _, w in dist) == pytest.approx(1.0, abs=1e-9)
         for traj, w in dist:
             assert w >= -1e-12
-            assert len(traj.outcomes) == a.n
-            for label, m in zip(traj.outcomes, a.test.measurements):
+            assert len(traj) == a.n
+            for label, m in zip(traj, a.test.measurements):
                 assert label in m.spectrum
 
 

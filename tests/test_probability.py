@@ -22,7 +22,7 @@ from qlll.generate import (
     zx_measurement_pair,
 )
 from qlll.independence import _decide, _neg_difference
-from qlll.linalg import DEFAULT_TOL, FULL, PARTIAL, validate_density
+from qlll.linalg import DEFAULT_TOL, validate_density
 from qlll.lll import _avoidance_pass
 from qlll.probability import (
     Test,
@@ -123,18 +123,28 @@ def test_joint_prefix(zx):
     assert pr_test_marginal(a, (1,)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_test_requires_full_state(zx):
-    m1, m2 = zx
-    partial = validate_density([[0.25, 0.0], [0.0, 0.25]], PARTIAL)
-    with pytest.raises(ValidationError):
-        Test(partial, (m1, m2))
-
-
 def test_test_rejects_dimension_mismatch(zx):
     m1, _ = zx
-    rho3 = validate_density(np.eye(3) / 3.0, FULL)
+    rho3 = validate_density(np.eye(3) / 3.0)
     with pytest.raises(DimensionMismatchError):
         Test(rho3, (m1,))
+
+
+def test_state_probability_rejects_event_of_other_dimension():
+    event = Event.of(computational_measurement(3, "Z3"), ["0"])
+    with pytest.raises(DimensionMismatchError, match="dimension 3, state has 2"):
+        pr_state(plus_state(), [event])
+
+
+def test_test_needs_a_measurement():
+    with pytest.raises(ValidationError, match="at least one measurement"):
+        Test(plus_state(), ())
+
+
+def test_assignment_rejects_slot_past_the_test(zx):
+    m1, m2 = zx
+    with pytest.raises(ValidationError, match="assignment index 3 outside 1..2"):
+        TestEventAssignment(Test(plus_state(), (m1, m2)), {3: Event.of(m2, ["0"])})
 
 
 def test_assignment_rejects_foreign_measurement(zx):

@@ -162,3 +162,12 @@ def test_not_json_and_missing_file(tmp_path):
     target.write_text(dumps(generate(GeneratorSpec(kind=GeneratorKind.PAPER_EXAMPLES))))
     test, assignment, x = load_path(str(target))
     assert assignment is not None and assignment.n == 2
+
+
+def test_malformed_text_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        loads("[" * 200000)  # nested past the recursion limit
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="cannot read"):
+        load_path(str(not_utf8))

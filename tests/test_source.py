@@ -1,9 +1,15 @@
 """Static checks over the library source."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qlll"
+from qlll.cli import build_parser
+from qlll.generate import _READS, GeneratorKind
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qlll"
 
 
 def test_library_has_no_assert_statements():
@@ -74,3 +80,32 @@ def test_fstrings_have_placeholders():
             and not any(isinstance(v, ast.FormattedValue) for v in node.values)
         ]
     assert found == []
+
+
+def _readme_table(intro: str) -> list[list[str]]:
+    """Body rows of the first table after the README line starting with *intro*."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(n for n, line in enumerate(lines) if line.startswith(intro))
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows[2:]  # header and separator rows
+
+
+def test_readme_tables_match_the_cli():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    verbs = [re.fullmatch(r"`([^`]+)`", row[0]).group(1) for row in _readme_table("Verbs:")]
+    assert verbs == list(sub.choices)
+
+    reads = {}
+    for kinds, flags in _readme_table("Generator kinds"):
+        fields = frozenset(
+            flag.removeprefix("--").replace("-", "_") for flag in re.findall(r"`([^`]+)`", flags)
+        )
+        assert fields or flags == "none"
+        for kind in re.findall(r"`([^`]+)`", kinds):
+            reads[GeneratorKind(kind)] = fields
+    assert reads == _READS
