@@ -2,9 +2,9 @@
 
 Verbs: prob, cond, indep, profile, check, sample, paper-examples, gen.
 Each verb returns its JSON document and exit code, and ``main`` prints the
-document on stdout (compact by default, ``--pretty`` to indent); ``gen``
-writes its instance file itself.  A flag that the chosen mode, variant or
-generator kind does not read is a validation error.
+document on stdout (compact by default, ``--pretty`` to indent); ``gen
+--out`` writes the instance file instead.  A flag that the chosen mode,
+variant or generator kind does not read is a validation error.
 Exit codes: 0 success / bounds hold; 1 conditioning on a zero-probability
 sequence or a failed hypothesis; 2 parse, validation or internal errors.
 """
@@ -30,7 +30,7 @@ from .lll import LLLInstance, check_general, check_symmetric
 from .oracle import enumerate_probability, sample_trajectories
 from .probability import pr_state, pr_state_cond, pr_test_cond, pr_test_marginal
 from .serialize import dumps as dump_instance
-from .serialize import load_path
+from .serialize import instance_to_dict, load_path
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -60,8 +60,17 @@ def _need_events(assignment, what: str):
     return assignment
 
 
+def _assignment(args, what: str):
+    """The instance file's assignment, for a verb that reads nothing else of it."""
+    return _need_events(load_path(args.instance)[1], what)
+
+
 def _state_events(test, text: str):
     return [resolve_event_spec(test.measurements, i, spec) for i, spec in parse_event_seq(text)]
+
+
+def _event_docs(seq) -> list[dict]:
+    return [{"measurement": e.measurement.name, "in": e.sorted_outcomes()} for e in seq]
 
 
 def _unread(value, flag: str, context: str) -> None:
@@ -78,7 +87,7 @@ def cmd_prob(args) -> tuple[dict, int]:
             raise ValidationError("state mode needs --seq")
         seq = _state_events(test, args.seq)
         value = pr_state(test.rho, seq)
-        query = {"seq": [{"measurement": e.measurement.name, "in": e.sorted_outcomes()} for e in seq]}
+        query = {"seq": _event_docs(seq)}
     else:
         _unread(args.seq, "--seq", "prob --mode test")
         if args.K is None:
@@ -98,10 +107,7 @@ def cmd_cond(args) -> tuple[dict, int]:
         given = _state_events(test, args.K) if args.K.strip() else []
         then = _state_events(test, args.L)
         value = pr_state_cond(test.rho, given, then)
-        query = {
-            "given": [{"measurement": e.measurement.name, "in": e.sorted_outcomes()} for e in given],
-            "then": [{"measurement": e.measurement.name, "in": e.sorted_outcomes()} for e in then],
-        }
+        query = {"given": _event_docs(given), "then": _event_docs(then)}
     else:
         a = _need_events(assignment, "test mode")
         K, L = _indices(args.K), _indices(args.L)
@@ -111,8 +117,7 @@ def cmd_cond(args) -> tuple[dict, int]:
 
 
 def cmd_indep(args) -> tuple[dict, int]:
-    _, assignment, _ = load_path(args.instance)
-    a = _need_events(assignment, "indep")
+    a = _assignment(args, "indep")
     if args.neg:
         _unread(args.J, "--J", "indep --neg")
     K = _indices(args.K)
@@ -133,8 +138,7 @@ def cmd_indep(args) -> tuple[dict, int]:
 
 
 def cmd_profile(args) -> tuple[dict, int]:
-    _, assignment, _ = load_path(args.instance)
-    a = _need_events(assignment, "profile")
+    a = _assignment(args, "profile")
     profile = compute_profile(a)
     doc = {"command": "profile", **profile.to_json()}
     entries = list(profile.table.values())
@@ -167,8 +171,7 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_sample(args) -> tuple[dict, int]:
-    _, assignment, _ = load_path(args.instance)
-    a = _need_events(assignment, "sample")
+    a = _assignment(args, "sample")
     K = _indices(args.K) if args.K is not None else a.assigned()
     est = sample_trajectories(a, K, args.n, args.seed)
     exact = None
@@ -196,8 +199,8 @@ def cmd_paper_examples(args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["all_pass"] else EXIT_ERROR
 
 
-def cmd_gen(args) -> tuple[None, int]:
-    """Write the instance file itself: to ``--out``, or to stdout.
+def cmd_gen(args) -> tuple[dict | None, int]:
+    """Return the instance document, or write it to ``--out`` and return None.
 
     Only the flags given reach ``GeneratorSpec``, which holds the defaults;
     a flag that the kind does not read is an error.
@@ -216,15 +219,13 @@ def cmd_gen(args) -> tuple[None, int]:
     a = generate(GeneratorSpec(kind=args.kind, **given))
     # validated as a check would take them: one weight per slot, each in (0, 1]
     x = LLLInstance(a, _weights(args.x)).x if args.x else None
-    text = dump_instance(a, x=x, pretty=args.pretty)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write instance file {args.out!r}: {exc}")
-    else:
-        print(text)
+    if not args.out:
+        return instance_to_dict(a, x), EXIT_OK
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(dump_instance(a, x=x, pretty=args.pretty) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write instance file {args.out!r}: {exc}")
     return None, EXIT_OK
 
 
@@ -238,58 +239,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def verb(name, func, help, instance=True):
+        p = sub.add_parser(name, help=help)
         if instance:
             p.add_argument("--instance", required=True, help="path to an instance JSON file")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prob", help="sequence or marginal probability")
-    common(p)
+    p = verb("prob", cmd_prob, "sequence or marginal probability")
     p.add_argument("--mode", choices=["state", "test"], default="test")
     p.add_argument("--seq", help="state mode: event sequence, e.g. 'M1=1;M2=0'")
     p.add_argument("--K", help="test mode: slot indices, e.g. '1,3'")
-    p.set_defaults(func=cmd_prob)
 
-    p = sub.add_parser("cond", help="conditional probability")
-    common(p)
+    p = verb("cond", cmd_cond, "conditional probability")
     p.add_argument("--mode", choices=["state", "test"], default="test")
     p.add_argument("--K", help="conditioning: events (state mode) or slots (test mode)")
     p.add_argument("--L", help="target: events (state mode) or slots (test mode)")
-    p.set_defaults(func=cmd_cond)
 
-    p = sub.add_parser("indep", help="independence of one event from earlier ones")
-    common(p)
+    p = verb("indep", cmd_indep, "independence of one event from earlier ones")
     p.add_argument("--i", type=int, required=True, help="target slot")
     p.add_argument("--K", required=True, help="conditioning slots, e.g. '1,2'")
     p.add_argument("--J", help="slots to drop from K (default: all of K)")
     p.add_argument("--neg", action="store_true", help="negative independence (condition on complements)")
-    p.set_defaults(func=cmd_indep)
 
-    p = sub.add_parser("profile", help="negative-independence profile, s and d_min")
-    common(p)
-    p.set_defaults(func=cmd_profile)
+    verb("profile", cmd_profile, "negative-independence profile, s and d_min")
 
-    p = sub.add_parser("check", help="local-lemma bound check")
-    common(p)
+    p = verb("check", cmd_check, "local-lemma bound check")
     p.add_argument("--variant", choices=["general", "symmetric"], default="general")
     p.add_argument("--x", help="general: comma-separated weights (overrides the file)")
     p.add_argument("--p", type=float, help="symmetric: probability bound (default: measured max)")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("sample", help="Monte Carlo estimate of a marginal")
-    common(p)
+    p = verb("sample", cmd_sample, "Monte Carlo estimate of a marginal")
     p.add_argument("--K", help="slot indices (default: all assigned slots)")
     p.add_argument("--n", type=int, required=True, help="number of trajectories")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="fail if exact enumeration is infeasible")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("paper-examples", help="run the bundled worked examples")
-    common(p, instance=False)
-    p.set_defaults(func=cmd_paper_examples)
+    verb("paper-examples", cmd_paper_examples, "run the bundled worked examples", instance=False)
 
-    p = sub.add_parser("gen", help="generate an instance file")
-    common(p, instance=False)
+    p = verb("gen", cmd_gen, "generate an instance file", instance=False)
     p.add_argument("--kind", required=True, choices=[k.value for k in GeneratorKind])
     p.add_argument("--n", type=int)
     p.add_argument("--local-dim", type=int, dest="local_dim")
@@ -298,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", type=int)
     p.add_argument("--x", help="embed weights into the file")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_gen)
 
     return parser
 

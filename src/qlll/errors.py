@@ -7,17 +7,20 @@ can report residuals instead of bare booleans.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
 def _plain(value):
-    # error detail must survive json.dumps; numpy scalars sneak in easily
+    # error detail must survive json.dumps as standard JSON: numpy scalars
+    # sneak in easily, and NaN and infinity have no JSON spelling
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
-        return float(value)
+        value = float(value)
+        return value if math.isfinite(value) else None
     if isinstance(value, numbers.Complex):
-        return [float(value.real), float(value.imag)]
+        return [_plain(value.real), _plain(value.imag)]
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value

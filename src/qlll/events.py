@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,10 +76,13 @@ class Measurement:
                 )
         check_dimension(dim)
         total = np.zeros((dim, dim), dtype=np.complex128)
-        for op in ops:
-            total += op.conj().T @ op
-        residual = float(np.abs(total - np.eye(dim)).max())
-        if residual > tol.complete:
+        # entries near the float limit overflow here; the residual is then
+        # inf or nan, which the check below rejects without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in ops:
+                total += op.conj().T @ op
+            residual = float(np.abs(total - np.eye(dim)).max())
+        if not residual <= tol.complete:
             raise NotCompleteError(
                 f"measurement {name!r} violates completeness: "
                 f"max residual {residual:.3e} > {tol.complete:.1e}",
@@ -129,8 +132,8 @@ class Measurement:
 class Event:
     """Outcome of ``measurement`` lies in ``outcomes``.
 
-    Outcome sets are stored as frozensets so equality is canonical
-    regardless of declaration order.
+    ``outcomes`` may be any iterable of labels.  It is stored as a frozenset
+    of strings, so equality is canonical regardless of declaration order.
     """
 
     measurement: Measurement
@@ -147,18 +150,6 @@ class Event:
                 f"measurement {self.measurement.name!r}"
             )
 
-    @classmethod
-    def of(cls, measurement: Measurement, outcomes: Iterable[str]) -> "Event":
-        return cls(measurement=measurement, outcomes=frozenset(outcomes))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.outcomes
-
-    @property
-    def is_complete(self) -> bool:
-        return self.outcomes == set(self.measurement.spectrum)
-
     def sorted_outcomes(self) -> list[str]:
         order = {m: i for i, m in enumerate(self.measurement.spectrum)}
         return sorted(self.outcomes, key=order.__getitem__)
@@ -168,16 +159,16 @@ class Event:
 
 
 def complete_event(measurement: Measurement) -> Event:
-    return Event.of(measurement, measurement.spectrum)
+    return Event(measurement, measurement.spectrum)
 
 
 def empty_event(measurement: Measurement) -> Event:
-    return Event.of(measurement, ())
+    return Event(measurement, ())
 
 
 def complement(event: Event) -> Event:
     """Event on the same measurement selecting the rest of the spectrum."""
-    return Event.of(event.measurement, set(event.measurement.spectrum) - event.outcomes)
+    return Event(event.measurement, set(event.measurement.spectrum) - event.outcomes)
 
 
 def union(a: Event, b: Event) -> Event:
@@ -186,7 +177,7 @@ def union(a: Event, b: Event) -> Event:
             "union requires events of the same measurement, got "
             f"{a.measurement.name!r} and {b.measurement.name!r}"
         )
-    return Event.of(a.measurement, a.outcomes | b.outcomes)
+    return Event(a.measurement, a.outcomes | b.outcomes)
 
 
 @dataclass(frozen=True)
@@ -263,4 +254,4 @@ def resolve_event_spec(measurements: Sequence[Measurement], index: int, spec) ->
             f"outcomes {sorted(stray)} are not in the spectrum of M{index} "
             f"(labels {list(m.spectrum)})"
         )
-    return Event.of(m, spec)
+    return Event(m, spec)

@@ -215,7 +215,7 @@ def _reference_instance() -> TestEventAssignment:
     m1, m2 = zx_measurement_pair()
     test = Test(plus_state(), (m1, m2))
     return TestEventAssignment(
-        test, {1: Event.of(m1, {"0"}), 2: Event.of(m2, {"0"})}
+        test, {1: Event(m1, {"0"}), 2: Event(m2, {"0"})}
     )
 
 
@@ -313,7 +313,7 @@ def generate(spec: GeneratorSpec) -> TestEventAssignment:
             outcomes = {m.spectrum[int(rng.integers(len(m.spectrum)))]}
         else:
             outcomes = _random_proper_subset(m.spectrum, rng)
-        events[i] = Event.of(m, outcomes)
+        events[i] = Event(m, outcomes)
     return TestEventAssignment(Test(state, tuple(measurements)), events)
 
 
@@ -327,7 +327,7 @@ def _drop_outcome(
     """Remove one uniformly drawn outcome from the event at *slot*."""
     outcomes = a.event(slot).sorted_outcomes()
     dropped = outcomes[int(rng.integers(len(outcomes)))]
-    return a.with_event(slot, Event.of(a.event(slot).measurement, set(outcomes) - {dropped}))
+    return a.with_event(slot, Event(a.event(slot).measurement, set(outcomes) - {dropped}))
 
 
 def rarefy_events(
@@ -415,11 +415,11 @@ def worked_examples(tol: ToleranceConfig = DEFAULT_TOL) -> list[WorkedExample]:
     plus = plus_state()
     minus = minus_state()
 
-    e1 = Event.of(m1, {"0"})
-    e2 = Event.of(m2, {"0"})
-    e2p = Event.of(m2, {"1"})
-    e3 = Event.of(m3, {"1"})
-    m1_is_1 = Event.of(m1, {"1"})
+    e1 = Event(m1, {"0"})
+    e2 = Event(m2, {"0"})
+    e2p = Event(m2, {"1"})
+    e3 = Event(m3, {"1"})
+    m1_is_1 = Event(m1, {"1"})
 
     out = []
 

@@ -111,7 +111,7 @@ def as_matrix(data) -> np.ndarray:
     """
     try:
         m = np.array(data, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot interpret input as a complex matrix: {exc}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatchError(
@@ -137,11 +137,10 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
-
+# finite entries near the float limit overflow to inf in the residuals and
+# the trace, which the checks then reject without a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
     """Check Hermiticity, positivity and unit trace; return a ``DensityOperator``.
 
@@ -161,7 +160,8 @@ def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOpera
             f"matrix is not Hermitian: max residual {herm_residual:.3e} > {tol.herm:.1e}",
             residual=herm_residual,
         )
-    hermitized = (m + m.conj().T) / 2
+    # halved before the sum, so no entry overflows to inf on its way to eigvalsh
+    hermitized = m / 2 + m.conj().T / 2
     eigenvalues = np.linalg.eigvalsh(hermitized)
     lowest = float(eigenvalues[0])
     if lowest < -tol.psd:

@@ -46,10 +46,11 @@ def _trajectories(test: Test, choices: list, cap: int):
             f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
         )
     rho = test.rho.matrix
+    identity = np.eye(test.rho.dim, dtype=np.complex128)
     for combo in itertools.product(*choices):
-        w = test.measurements[0].kraus[combo[0]]
-        for i, label in enumerate(combo[1:], start=2):
-            w = test.measurements[i - 1].kraus[label] @ w
+        w = identity
+        for m, label in zip(test.measurements, combo):
+            w = m.kraus[label] @ w
         yield combo, float(np.trace(w @ rho @ w.conj().T).real)
 
 
@@ -63,7 +64,8 @@ def enumerate_probability(
 
     Enumerates every outcome tuple of the first ``max(K)`` measurements whose
     entries at *K* fall in the assigned events, computing each trajectory's
-    probability from the bare operator product.
+    probability from the bare operator product.  ``K = ()`` gives the one
+    empty trajectory, of probability ``tr(rho)``, as ``pr_test_marginal`` does.
 
     Raises
     ------
@@ -71,11 +73,9 @@ def enumerate_probability(
         When the full outcome grid of the horizon exceeds *cap*.
     """
     K = check_index_set(K, a.n)
-    if not K:
-        return 1.0
     choices = [
         [lab for lab in m.spectrum if i not in K or lab in a.event(i).outcomes]
-        for i, m in enumerate(a.test.measurements[: K[-1]], start=1)
+        for i, m in enumerate(a.test.measurements[: max(K, default=0)], start=1)
     ]
     # left-to-right float sum; built-in sum() is compensated from Python 3.12
     total = 0.0
@@ -114,7 +114,7 @@ def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) ->
     states = vectors[:, (cum / cum[-1] > rng.random(size)[:, None]).argmax(axis=1)].T
     rows = np.arange(size)
     success = np.ones(size, dtype=bool)
-    for step in range(1, K[-1] + 1):
+    for step in range(1, max(K, default=0) + 1):
         m = a.test.measurements[step - 1]
         stacked = np.concatenate([m.kraus[lab] for lab in m.spectrum])
         branches = (states @ stacked.T).reshape(size, len(m.spectrum), -1)
@@ -157,7 +157,9 @@ def sample_trajectories(
     Returns
     -------
     SampleEstimate
-        With the binomial standard error ``sqrt(est * (1 - est) / n)``.
+        With the binomial standard error ``sqrt(est * (1 - est) / n)``.  An
+        empty *K* walks no step, so every trajectory succeeds: estimate 1.0,
+        standard error 0.0.
     """
     K = check_index_set(K, a.n)
     n_samples = int(n_samples)
@@ -165,8 +167,6 @@ def sample_trajectories(
         raise ValidationError(f"n_samples must be positive, got {n_samples}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    if not K:
-        return SampleEstimate(estimate=1.0, n_samples=n_samples, std_error=0.0, seed=seed)
     starts = range(0, n_samples, _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(len(starts))
     successes = sum(

@@ -45,7 +45,8 @@ INSTANCE_SCHEMA = {
                     "outcomes": {"type": "array", "items": {"type": "string"}, "minItems": 1},
                     "kraus": {"type": "array", "items": _MATRIX, "minItems": 1},
                 },
-                "required": ["name", "outcomes", "kraus"],
+                # a nameless measurement reads as M<position>
+                "required": ["outcomes", "kraus"],
             },
         },
         "events": {"type": "array", "items": _EVENT},
@@ -70,27 +71,22 @@ ERROR_SCHEMA = {
     "required": ["error"],
 }
 
-PROB_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "prob"},
-        "mode": {"enum": ["state", "test"]},
-        "query": {"type": "object"},
-        "value": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": ["command", "mode", "query", "value"],
-}
 
-COND_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"const": "cond"},
-        "mode": {"enum": ["state", "test"]},
-        "query": {"type": "object"},
-        "value": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": ["command", "mode", "query", "value"],
-}
+def _probability_schema(command: str) -> dict:
+    return {
+        "type": "object",
+        "properties": {
+            "command": {"const": command},
+            "mode": {"enum": ["state", "test"]},
+            "query": {"type": "object"},
+            "value": {"type": "number", "minimum": 0, "maximum": 1},
+        },
+        "required": ["command", "mode", "query", "value"],
+    }
+
+
+PROB_SCHEMA = _probability_schema("prob")
+COND_SCHEMA = _probability_schema("cond")
 
 INDEP_SCHEMA = {
     "type": "object",

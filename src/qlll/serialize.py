@@ -39,6 +39,14 @@ def _number(value: Any) -> bool:
     return _integer(value) or isinstance(value, float)
 
 
+def _float(value: Any) -> float:
+    """The float of a JSON number; an integer beyond float range is a parse error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"a {len(str(abs(value)))}-digit integer is beyond float range")
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
@@ -60,7 +68,7 @@ def matrix_from_json(rows: Any, dim: int | None = None) -> np.ndarray:
                 or not all(_number(part) for part in entry)
             ):
                 raise ParseError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
-            out[r, c] = complex(entry[0], entry[1])
+            out[r, c] = complex(_float(entry[0]), _float(entry[1]))
     return out
 
 
@@ -156,7 +164,7 @@ def instance_from_dict(
         raw_x = doc["x"]
         if not isinstance(raw_x, list) or not all(_number(v) for v in raw_x):
             raise ParseError("x must be an array of numbers")
-        x = tuple(float(v) for v in raw_x)
+        x = tuple(_float(v) for v in raw_x)
 
     return test, assignment, x
 
@@ -171,7 +179,8 @@ def dumps(a: TestEventAssignment | Test, x=None, pretty: bool = False) -> str:
 def loads(text: str, tol: ToleranceConfig = DEFAULT_TOL):
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError and integers past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
     return instance_from_dict(doc, tol)
 

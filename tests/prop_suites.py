@@ -69,7 +69,7 @@ def _first_projective(a: TestEventAssignment):
 def _random_event(rng, m, allow_empty=False, allow_full=True) -> Event:
     lo = 0 if allow_empty else 1
     hi = len(m.spectrum) if allow_full else len(m.spectrum) - 1
-    return Event.of(m, rand_subset(rng, m.spectrum, lo, hi))
+    return Event(m, rand_subset(rng, m.spectrum, lo, hi))
 
 
 def _context(rng, a, max_len=2) -> list[Event]:
@@ -175,7 +175,7 @@ def suite_state_additivity(pool) -> SuiteResult:
             m = a.test.measurements[int(rng.integers(0, a.test.n))]
             universe = rand_subset(rng, m.spectrum, 2)
             part1, part2 = split_two(rng, universe)
-            e1, e2 = Event.of(m, part1), Event.of(m, part2)
+            e1, e2 = Event(m, part1), Event(m, part2)
             pre, post = _context(rng, a), _context(rng, a)
             lhs = pr_state(rho, pre + [union(e1, e2)] + post)
             rhs = pr_state(rho, pre + [e1] + post) + pr_state(rho, pre + [e2] + post)
@@ -259,7 +259,7 @@ def suite_cond_additivity(pool) -> SuiteResult:
             m = a.test.measurements[int(rng.integers(0, a.test.n))]
             universe = rand_subset(rng, m.spectrum, 2)
             part1, part2 = split_two(rng, universe)
-            e1, e2 = Event.of(m, part1), Event.of(m, part2)
+            e1, e2 = Event(m, part1), Event(m, part2)
             pre, post = _context(rng, a), _context(rng, a)
             lhs = pr_state_cond(rho, given, pre + [union(e1, e2)] + post)
             rhs = pr_state_cond(rho, given, pre + [e1] + post) + pr_state_cond(
@@ -410,9 +410,9 @@ def suite_test_additivity(pool) -> SuiteResult:
             m = a.test.measurements[i - 1]
             universe = rand_subset(rng, m.spectrum, 2)
             part1, part2 = split_two(rng, universe)
-            both = a.with_event(i, Event.of(m, part1 + part2))
-            one = a.with_event(i, Event.of(m, part1))
-            two = a.with_event(i, Event.of(m, part2))
+            both = a.with_event(i, Event(m, part1 + part2))
+            one = a.with_event(i, Event(m, part1))
+            two = a.with_event(i, Event(m, part2))
             mid = K + (i,) + L
             r.eq(
                 pr_test_cond(both, J, mid),
@@ -438,9 +438,9 @@ def suite_test_additivity(pool) -> SuiteResult:
             m = a.test.measurements[i - 1]
             universe = rand_subset(rng, m.spectrum, 2)
             part1, part2 = split_two(rng, universe)
-            both = a.with_event(i, Event.of(m, part1 + part2))
-            one = a.with_event(i, Event.of(m, part1))
-            two = a.with_event(i, Event.of(m, part2))
+            both = a.with_event(i, Event(m, part1 + part2))
+            one = a.with_event(i, Event(m, part1))
+            two = a.with_event(i, Event(m, part2))
             r.eq(
                 pr_test_marginal(both, (i,)),
                 pr_test_marginal(one, (i,)) + pr_test_marginal(two, (i,)),
@@ -506,7 +506,7 @@ def suite_test_total_probability(pool) -> SuiteResult:
             terms = []
             ambiguous = False
             for blk in blocks:
-                ai = a.with_event(i, Event.of(m, blk))
+                ai = a.with_event(i, Event(m, blk))
                 w = pr_test_marginal(ai, J + (i,) + K)
                 if w <= 1e-12:
                     continue
@@ -726,7 +726,7 @@ def suite_ind_union(pool) -> SuiteResult:
                     continue
                 universe = rand_subset(rng, m.spectrum, 2)
                 part1, part2 = split_two(rng, universe)
-                e1, e2 = Event.of(m, part1), Event.of(m, part2)
+                e1, e2 = Event(m, part1), Event(m, part2)
                 good = True
                 for ev in (e1, e2):
                     ai = a.with_event(i, ev)

@@ -101,7 +101,7 @@ def test_criterion_2_proposition_suites(capsys, prop_results):
     m1, m2 = zx_measurement_pair()
     m3 = computational_measurement(2, "M3")
     plus = plus_state()
-    e1, e2, e3 = (Event.of(m, {o}) for m, o in ((m1, "0"), (m2, "0"), (m3, "1")))
+    e1, e2, e3 = (Event(m, {o}) for m, o in ((m1, "0"), (m2, "0"), (m3, "1")))
     with_head = pr_state_cond(plus, [e1], [e2, e3])
     without = pr_state_cond(plus, [e1], [e3])
     if abs(with_head - 0.25) > 1e-9 or abs(without - 0.0) > 1e-9:
@@ -190,7 +190,7 @@ def test_criterion_5_symmetric_bound_sweep(capsys):
             if compute_profile(a).d_min < 1:
                 continue
             rare = rarefy_events(a, cap, np.random.default_rng(10_000 + seed))
-            if any(rare.event(i).is_empty for i in rare.assigned()):
+            if any(not rare.event(i).outcomes for i in rare.assigned()):
                 continue
             profile = compute_profile(rare)
             if profile.d_min < 1:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -28,7 +29,7 @@ def run(capsys, *argv):
     if "error" in doc:
         jsonschema.validate(doc, ERROR_SCHEMA)
     elif "command" not in doc:
-        jsonschema.validate(doc, INSTANCE_SCHEMA)  # gen prints the file itself
+        jsonschema.validate(doc, INSTANCE_SCHEMA)  # gen without --out prints the instance
     elif doc.get("variant") == "symmetric":
         jsonschema.validate(doc, SYMMETRIC_CHECK_SCHEMA)
     else:
@@ -483,7 +484,8 @@ def test_boolean_version_exits_2(capsys, ref_file, tmp_path):
 @pytest.mark.parametrize("content,prefix", [
     (b"\xff\xfe", "cannot read instance file"),
     (b"[" * 200000, "invalid JSON"),
-], ids=["not-utf8", "nested-past-the-recursion-limit"])
+    (b"[" + b"1" * 5000 + b"]", "invalid JSON"),
+], ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
 def test_malformed_instance_file_exits_2(capsys, tmp_path, content, prefix):
     path = tmp_path / "malformed.json"
     path.write_bytes(content)
@@ -491,6 +493,59 @@ def test_malformed_instance_file_exits_2(capsys, tmp_path, content, prefix):
     assert code == 2
     assert doc["error"]["type"] == "Parse"
     assert doc["error"]["message"].startswith(prefix)
+
+
+def _set_leaves(doc, leaf, value):
+    if leaf == "state":
+        doc["state"][0][0][0] = value
+    elif leaf == "state-off-diagonal":  # still Hermitian, far from positive
+        doc["state"][0][1][0] = doc["state"][1][0][0] = value
+    elif leaf == "kraus":
+        doc["measurements"][0]["kraus"][0][0][0][0] = value
+    else:
+        doc["x"] = [value] * len(doc["measurements"])
+
+
+def _check_strictly(capsys, path):
+    """Run ``check`` on *path*; return the exit code, the document and the warnings."""
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["check", "--instance", str(path)])
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    return code, doc, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("leaf", ["state", "kraus", "x"])
+def test_integer_beyond_float_range_exits_2(capsys, ref_file, tmp_path, leaf):
+    doc = ref_doc(ref_file)
+    _set_leaves(doc, leaf, 10**400)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, caught = _check_strictly(capsys, path)
+    assert code == 2
+    assert out["error"]["type"] == "Parse"
+    assert out["error"]["message"] == "a 401-digit integer is beyond float range"
+    assert caught == []
+
+
+@pytest.mark.parametrize("leaf,error", [
+    ("kraus", "NotComplete"),
+    ("state", "BadTrace"),
+    ("state-off-diagonal", "NotPositive"),
+])
+def test_entries_near_the_float_limit_give_a_json_error(capsys, ref_file, tmp_path, leaf, error):
+    doc = ref_doc(ref_file)
+    _set_leaves(doc, leaf, 1e308)
+    path = tmp_path / "near-limit.json"
+    path.write_text(json.dumps(doc))
+    code, out, caught = _check_strictly(capsys, path)
+    assert code == 2
+    assert out["error"]["type"] == error
+    assert caught == []
 
 
 def test_non_integer_slot_index_exits_2(capsys, ref_file):

@@ -76,8 +76,8 @@ def test_generated_instances_are_well_formed(kind):
     assert a.assigned() == (1, 2, 3)
     for i in a.assigned():
         ev = a.event(i)
-        assert not ev.is_empty
-        assert not ev.is_complete
+        assert ev.outcomes
+        assert ev.outcomes != set(ev.measurement.spectrum)
     for m in a.test.measurements:
         assert 2 <= len(m.spectrum) <= 4  # window kind squares the local size
     expected_dim = {

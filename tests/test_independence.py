@@ -104,7 +104,7 @@ def test_undefined_prefix_counts_as_dependent():
     m1, m2 = zx_measurement_pair()
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: complete_event(m1), 2: Event.of(m2, ["0"])},
+        {1: complete_event(m1), 2: Event(m2, ["0"])},
     )
     # complementing the complete event gives a zero-probability condition
     profile = compute_profile(a)

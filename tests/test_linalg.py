@@ -63,6 +63,8 @@ def test_as_matrix_rejects_non_square():
 def test_as_matrix_rejects_non_numeric_entries():
     with pytest.raises(ValidationError, match="cannot interpret input as a complex matrix"):
         as_matrix([[1, "x"], [0, 1]])
+    with pytest.raises(ValidationError, match="cannot interpret input as a complex matrix"):
+        as_matrix([[10**400]])  # beyond float range
 
 
 def test_as_matrix_rejects_non_finite():
@@ -81,7 +83,7 @@ def test_trace_against_numpy():
 def test_validate_density_accepts_pure_qubit():
     rho = validate_density([[0.5, 0.5], [0.5, 0.5]])
     assert rho.dim == 2
-    assert rho.trace == pytest.approx(1.0)
+    assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
 
 def test_validate_density_hermitizes_tiny_asymmetry():

@@ -42,7 +42,7 @@ def two_qubit_instance():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     t = Test(validate_density(rho), tuple(lifted))
-    return TestEventAssignment(t, {1: Event.of(lifted[0], ["1"]), 2: Event.of(lifted[1], ["1"])})
+    return TestEventAssignment(t, {1: Event(lifted[0], ["1"]), 2: Event(lifted[1], ["1"])})
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_instance_weight_validation(anchor):
 
 def test_instance_requires_every_slot_assigned():
     m1, m2 = zx_measurement_pair()
-    partial = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event.of(m1, ["0"])})
+    partial = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event(m1, ["0"])})
     with pytest.raises(ValidationError, match="missing"):
         LLLInstance(partial, (0.5, 0.5))
     # the marginal scan trips on the unassigned slot first
@@ -194,7 +194,7 @@ def test_zero_probability_prefix_reports_none():
     m1, m2 = zx_measurement_pair()
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: complete_event(m1), 2: Event.of(m2, ["0"])},
+        {1: complete_event(m1), 2: Event(m2, ["0"])},
     )
     inst = LLLInstance(a, (1.0, 0.5))
     report = check_general(inst)

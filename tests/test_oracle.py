@@ -61,9 +61,17 @@ def test_enumeration_cap():
 
 def test_enumeration_degenerate_index_sets(pool):
     a = pool[0]
-    assert enumerate_probability(a, ()) == 1.0
-    emptied = a.with_event(1, Event.of(a.test.measurements[0], []))
+    assert enumerate_probability(a, ()) == pr_test_marginal(a, ())
+    emptied = a.with_event(1, Event(a.test.measurements[0], []))
     assert enumerate_probability(emptied, (1,)) == 0.0
+
+
+def test_empty_index_set_agrees_across_routes(pool):
+    # the exact routes give tr(rho); the sampler walks no step and succeeds
+    for a in pool:
+        assert enumerate_probability(a, ()) == pr_test_marginal(a, ())
+        est = sample_trajectories(a, (), n_samples=50, seed=0)
+        assert (est.estimate, est.std_error) == (1.0, 0.0)
 
 
 def test_sampler_seed_reproducibility(pool):
@@ -104,9 +112,9 @@ def test_sampler_on_a_pure_start_state():
     a = generate(GeneratorSpec(kind=GeneratorKind.PAPER_EXAMPLES, seed=0))
     assert np.linalg.matrix_rank(a.test.rho.matrix) == 1  # |+><+|
     m1, m2 = a.test.measurements
-    empty = a.with_event(1, Event.of(m1, []))
+    empty = a.with_event(1, Event(m1, []))
     assert sample_trajectories(empty, (1,), n_samples=2000, seed=5).estimate == 0.0
-    complete = a.with_event(1, Event.of(m1, m1.spectrum)).with_event(2, Event.of(m2, m2.spectrum))
+    complete = a.with_event(1, Event(m1, m1.spectrum)).with_event(2, Event(m2, m2.spectrum))
     assert sample_trajectories(complete, (1, 2), n_samples=2000, seed=5).estimate == 1.0
     est = sample_trajectories(a, (1, 2), n_samples=20_000, seed=5)
     assert abs(est.estimate - enumerate_probability(a, (1, 2))) <= 4.0 * est.std_error

@@ -49,8 +49,8 @@ def test_reordering_changes_the_answer(zx):
     # measuring the diagonal-basis event first annihilates the minus state
     m1, m2 = zx
     rho = minus_state()
-    first_then = [Event.of(m1, ["1"]), Event.of(m2, ["0"])]
-    other_way = [Event.of(m2, ["0"]), Event.of(m1, ["1"])]
+    first_then = [Event(m1, ["1"]), Event(m2, ["0"])]
+    other_way = [Event(m2, ["0"]), Event(m1, ["1"])]
     assert pr_state(rho, first_then) == pytest.approx(0.25, abs=1e-9)
     assert pr_state(rho, other_way) == pytest.approx(0.0, abs=1e-9)
 
@@ -58,8 +58,8 @@ def test_reordering_changes_the_answer(zx):
 def test_leading_complete_event_is_not_removable(zx):
     m1, m2 = zx
     rho = plus_state()
-    e20 = Event.of(m2, ["0"])
-    e21 = Event.of(m2, ["1"])
+    e20 = Event(m2, ["0"])
+    e21 = Event(m2, ["1"])
     assert pr_state(rho, [complete_event(m1), e20]) == pytest.approx(0.5, abs=1e-9)
     assert pr_state(rho, [e20]) == pytest.approx(1.0, abs=1e-9)
     assert pr_state(rho, [complete_event(m1), e21]) == pytest.approx(0.5, abs=1e-9)
@@ -70,9 +70,9 @@ def test_head_deletion_can_raise_conditional(zx):
     # negative control: deleting the head of the target sequence is unsound
     m1, m2 = zx
     rho = plus_state()
-    e1 = Event.of(m1, ["0"])
-    e2 = Event.of(m2, ["0"])
-    e3 = Event.of(m1, ["1"])
+    e1 = Event(m1, ["0"])
+    e2 = Event(m2, ["0"])
+    e3 = Event(m1, ["1"])
     assert pr_state_cond(rho, [e1], [e2, e3]) == pytest.approx(0.25, abs=1e-9)
     assert pr_state_cond(rho, [e1], [e3]) == pytest.approx(0.0, abs=1e-9)
 
@@ -80,9 +80,9 @@ def test_head_deletion_can_raise_conditional(zx):
 def test_state_level_total_probability_fails(zx):
     m1, m2 = zx
     rho = plus_state()
-    e1 = Event.of(m1, ["0"])
-    e2 = Event.of(m2, ["0"])
-    e3 = Event.of(m1, ["1"])
+    e1 = Event(m1, ["0"])
+    e2 = Event(m2, ["0"])
+    e3 = Event(m1, ["1"])
     direct = pr_state(rho, [e1, e3])
     branched = pr_state(rho, [e1, e2, e3]) + pr_state(rho, [e1, complement(e2), e3])
     assert direct == pytest.approx(0.0, abs=1e-9)
@@ -93,11 +93,11 @@ def test_marginal_pads_unlisted_slots(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: Event.of(m1, ["0"]), 2: Event.of(m2, ["0"])},
+        {1: Event(m1, ["0"]), 2: Event(m2, ["0"])},
     )
     # slot 1 is padded with the complete first measurement
     assert pr_test_marginal(a, (2,)) == pytest.approx(0.5, abs=1e-9)
-    b = a.with_event(2, Event.of(m2, ["1"]))
+    b = a.with_event(2, Event(m2, ["1"]))
     assert pr_test_marginal(b, (2,)) == pytest.approx(0.5, abs=1e-9)
     assert pr_test_marginal(a, ()) == pytest.approx(1.0)
 
@@ -107,7 +107,7 @@ def test_conditioning_on_complete_slot_matches_marginal(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: complete_event(m1), 2: Event.of(m2, ["0"])},
+        {1: complete_event(m1), 2: Event(m2, ["0"])},
     )
     assert pr_test_cond(a, (1,), (2,)) == pytest.approx(0.5, abs=1e-9)
     assert pr_test_marginal(a, (2,)) == pytest.approx(0.5, abs=1e-9)
@@ -117,7 +117,7 @@ def test_joint_prefix(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(minus_state(), (m1, m2)),
-        {1: Event.of(m1, ["1"]), 2: Event.of(m2, ["0"])},
+        {1: Event(m1, ["1"]), 2: Event(m2, ["0"])},
     )
     assert pr_test_marginal(a, (1, 2)) == pytest.approx(0.25, abs=1e-9)
     assert pr_test_marginal(a, (1,)) == pytest.approx(0.5, abs=1e-9)
@@ -131,7 +131,7 @@ def test_test_rejects_dimension_mismatch(zx):
 
 
 def test_state_probability_rejects_event_of_other_dimension():
-    event = Event.of(computational_measurement(3, "Z3"), ["0"])
+    event = Event(computational_measurement(3, "Z3"), ["0"])
     with pytest.raises(DimensionMismatchError, match="dimension 3, state has 2"):
         pr_state(plus_state(), [event])
 
@@ -144,19 +144,19 @@ def test_test_needs_a_measurement():
 def test_assignment_rejects_slot_past_the_test(zx):
     m1, m2 = zx
     with pytest.raises(ValidationError, match="assignment index 3 outside 1..2"):
-        TestEventAssignment(Test(plus_state(), (m1, m2)), {3: Event.of(m2, ["0"])})
+        TestEventAssignment(Test(plus_state(), (m1, m2)), {3: Event(m2, ["0"])})
 
 
 def test_assignment_rejects_foreign_measurement(zx):
     m1, m2 = zx
     stranger = computational_measurement(2, "Q")
     with pytest.raises(ValidationError):
-        TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event.of(stranger, ["0"])})
+        TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event(stranger, ["0"])})
 
 
 def test_marginal_needs_assigned_slots(zx):
     m1, m2 = zx
-    a = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event.of(m1, ["0"])})
+    a = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event(m1, ["0"])})
     with pytest.raises(MissingAssignmentError):
         pr_test_marginal(a, (2,))
     assert pr_test_marginal(a, (1,)) == pytest.approx(0.5, abs=1e-9)
@@ -173,7 +173,7 @@ def test_conditional_needs_condition_before_target(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: Event.of(m1, ["0"]), 2: Event.of(m2, ["0"])},
+        {1: Event(m1, ["0"]), 2: Event(m2, ["0"])},
     )
     with pytest.raises(BadOrderingError):
         pr_test_cond(a, (2,), (1,))
@@ -185,7 +185,7 @@ def test_conditioning_on_zero_probability_raises(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: empty_event(m1), 2: Event.of(m2, ["0"])},
+        {1: empty_event(m1), 2: Event(m2, ["0"])},
     )
     with pytest.raises(ConditionOnZeroError) as exc:
         pr_test_cond(a, (1,), (2,))
@@ -196,7 +196,7 @@ def test_empty_condition_set_divides_by_one(zx):
     m1, m2 = zx
     a = TestEventAssignment(
         Test(plus_state(), (m1, m2)),
-        {1: Event.of(m1, ["0"]), 2: Event.of(m2, ["0"])},
+        {1: Event(m1, ["0"]), 2: Event(m2, ["0"])},
     )
     assert pr_test_cond(a, (), (2,)) == pytest.approx(pr_test_marginal(a, (2,)))
 
@@ -207,7 +207,7 @@ def test_event_with_complement_exhausts_mass(seed):
     rng = np.random.default_rng(seed)
     rho = ginibre_state(2, rng)
     m = random_projective_measurement(2, 2, rng, "P")
-    ev = Event.of(m, [m.spectrum[0]])
+    ev = Event(m, [m.spectrum[0]])
     total = pr_state(rho, [ev]) + pr_state(rho, [complement(ev)])
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -219,7 +219,7 @@ def test_sequence_probability_stays_in_unit_interval(seed):
     rho = ginibre_state(3, rng)
     m = random_projective_measurement(3, 3, rng, "P")
     seq = [
-        Event.of(m, rng.choice(m.spectrum, size=int(rng.integers(1, 4)), replace=False))
+        Event(m, rng.choice(m.spectrum, size=int(rng.integers(1, 4)), replace=False))
         for _ in range(3)
     ]
     p = pr_state(rho, seq)

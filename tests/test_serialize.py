@@ -63,6 +63,15 @@ def test_documents_satisfy_schema():
         jsonschema.validate(json.loads(dumps(a, x=(0.5,) * a.n)), INSTANCE_SCHEMA)
 
 
+def test_nameless_measurements_read_as_their_position():
+    doc = reference_doc()
+    for raw in doc["measurements"]:
+        del raw["name"]
+    jsonschema.validate(doc, INSTANCE_SCHEMA)
+    test, assignment, x = loads(json.dumps(doc))
+    assert [m.name for m in test.measurements] == ["M1", "M2"]
+
+
 def test_test_only_documents():
     doc = reference_doc()
     del doc["events"]

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -109,3 +110,32 @@ def test_readme_tables_match_the_cli():
         for kind in re.findall(r"`([^`]+)`", kinds):
             reads[GeneratorKind(kind)] = fields
     assert reads == _READS
+
+
+def test_perfbench_names_resolve():
+    # tier-1 does not run perfbench/tests, so this is what keeps a deleted or
+    # renamed library name from breaking the traced benchmark unnoticed
+    bench = ROOT / "perfbench" / "qlllbench"
+    tree = ast.parse((bench / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    names = [tuple(ast.literal_eval(part) for part in row.elts[1:4]) for row in targets.elts]
+    assert names
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qlll":
+                names += [(node.module, None, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [(alias.name, None, None) for alias in node.names if alias.name.split(".")[0] == "qlll"]
+    missing = []
+    for module, owner, attr in names:
+        found = importlib.import_module(module)
+        for part in (owner, attr):
+            if part is not None:
+                found = getattr(found, part, None)
+        if found is None:
+            missing.append(f"{module}:{owner or ''}.{attr}")
+    assert missing == []
