@@ -110,30 +110,41 @@ class SampleEstimate:
 def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) -> int:
     """Walk *size* state-vector trajectories in one batch; return the success count."""
     values, vectors = np.linalg.eigh(a.test.rho.matrix)
-    cum = np.cumsum(np.clip(values, 0.0, None))
-    states = vectors[:, (cum / cum[-1] > rng.random(size)[:, None]).argmax(axis=1)].T
+    cum = np.clip(values, 0.0, None)
+    for j in range(1, len(cum)):
+        cum[j] += cum[j - 1]
+    states = vectors[:, np.searchsorted(cum / cum[-1], rng.random(size), side="right")].T
     rows = np.arange(size)
     success = np.ones(size, dtype=bool)
     for step in range(1, max(K, default=0) + 1):
         m = a.test.measurements[step - 1]
+        k = len(m.spectrum)
         stacked = np.concatenate([m.kraus[lab] for lab in m.spectrum])
-        branches = (states @ stacked.T).reshape(size, len(m.spectrum), -1)
+        branches = (states @ stacked.T).reshape(size * k, -1)
         # |branch|^2 from the float view: no conjugate copy of the branches
-        flat = branches.view(np.float64)
+        flat = branches.view(np.float64).reshape(size, k, -1)
         probs = np.einsum("bkj,bkj->bk", flat, flat)
-        cum = np.cumsum(probs, axis=1)
+        # a column at a time over the batch: np.cumsum along this axis was slow
+        cum = probs.copy()
+        for j in range(1, k):
+            cum[:, j] += cum[:, j - 1]
         drift = np.abs(cum[:, -1] - 1.0).max()
-        if drift > _STEP_DRIFT:
+        if not drift <= _STEP_DRIFT:  # also when a NaN weight makes drift NaN
             raise InternalConsistencyError(
                 f"outcome probabilities at step {step} sum to 1 {drift:.2e} off",
                 step=step,
                 drift=float(drift),
             )
         cum /= cum[:, -1:]
-        # the first outcome whose cumulative weight passes u; the last one does
-        drawn = (cum > rng.random(size)[:, None]).argmax(axis=1)
-        states = branches[rows, drawn]
-        states /= np.sqrt(probs[rows, drawn])[:, None]
+        # draw the first outcome whose cumulative weight passes u: the last column
+        # is 1.0 > u and cum never decreases, so that is the count of columns <= u
+        u = rng.random(size)
+        drawn = np.zeros(size, dtype=np.intp)
+        for j in range(k - 1):
+            drawn += cum[:, j] <= u
+        picked = rows * k + drawn
+        states = branches[picked]
+        states /= np.sqrt(probs.ravel()[picked])[:, None]
         del branches, flat  # freed before the next step allocates its branches
         if step in K:
             success &= np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]

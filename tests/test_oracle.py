@@ -1,21 +1,25 @@
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from helpers import build_pool, rand_subset, suite_rng
-from qlll.errors import EnumerationCapError, ValidationError
-from qlll.events import Event
+from qlll import oracle
+from qlll.errors import EnumerationCapError, InternalConsistencyError, ValidationError
+from qlll.events import Event, Measurement
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 from qlll.oracle import (
     _CHUNK,
+    _STEP_DRIFT,
     SAMPLER_ALGORITHM,
     SampleEstimate,
     enumerate_probability,
     sample_trajectories,
     trajectory_distribution,
 )
-from qlll.probability import pr_test_marginal
+from qlll.linalg import validate_density
+from qlll.probability import Test, TestEventAssignment, pr_test_marginal
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +88,39 @@ def test_sampler_seed_reproducibility(pool):
     assert other.seed == 12
 
 
-def test_sampler_multichunk_path_is_deterministic(pool):
+def _reference_chunk(a, K, size, rng):
+    """The sampler step in its plainest form: ``np.cumsum`` along the outcome
+    axis, draws by ``argmax`` and a two-index gather of the drawn branch."""
+    values, vectors = np.linalg.eigh(a.test.rho.matrix)
+    cum = np.cumsum(np.clip(values, 0.0, None))
+    states = vectors[:, (cum / cum[-1] > rng.random(size)[:, None]).argmax(axis=1)].T
+    rows = np.arange(size)
+    success = np.ones(size, dtype=bool)
+    for step in range(1, max(K, default=0) + 1):
+        m = a.test.measurements[step - 1]
+        stacked = np.concatenate([m.kraus[lab] for lab in m.spectrum])
+        branches = (states @ stacked.T).reshape(size, len(m.spectrum), -1)
+        flat = branches.view(np.float64)
+        probs = np.einsum("bkj,bkj->bk", flat, flat)
+        cum = np.cumsum(probs, axis=1)
+        if not np.abs(cum[:, -1] - 1.0).max() <= _STEP_DRIFT:
+            raise InternalConsistencyError(f"step {step} off")
+        cum /= cum[:, -1:]
+        drawn = (cum > rng.random(size)[:, None]).argmax(axis=1)
+        states = branches[rows, drawn]
+        states /= np.sqrt(probs[rows, drawn])[:, None]
+        if step in K:
+            success &= np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]
+    return int(success.sum())
+
+
+def _reference_estimates(monkeypatch, runs):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_sample_chunk", _reference_chunk)
+        return [sample_trajectories(*run) for run in runs]
+
+
+def test_sampler_multichunk_path_is_deterministic(pool, monkeypatch):
     a = pool[2]
     K = tuple(range(1, a.n + 1))
     n = _CHUNK + 1
@@ -92,6 +128,49 @@ def test_sampler_multichunk_path_is_deterministic(pool):
     two = sample_trajectories(a, K, n_samples=n, seed=3)
     assert one == two
     assert one.n_samples == n
+    assert [one] == _reference_estimates(monkeypatch, [(a, K, n, 3)])
+
+
+def test_sampler_draws_match_the_reference_step(pool, monkeypatch):
+    rng = suite_rng(92, 0)
+    runs = []
+    for a in pool:
+        slots = tuple(range(1, a.n + 1))
+        for K in (slots, rand_subset(rng, slots, min_size=1)):
+            runs += [(a, K, 1500, seed) for seed in (0, 1, 12345)]
+    got = [sample_trajectories(*run) for run in runs]
+    assert got == _reference_estimates(monkeypatch, runs)
+    # the draws differ from run to run, so equality is not read off constants
+    assert len({est.estimate for est in got}) > len(runs) // 4
+
+
+class _ZeroDraws:
+    """Generator stand-in whose every uniform draw is 0.0: the one value that
+    ties with the cumulative weight of leading zero-weight outcomes."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_sampler_never_draws_a_zero_weight_outcome():
+    # start in |1><1| and measure in the basis ordered 0, 2, 1: eigenvalues and
+    # Born weights both run 0, 0, 1, so u = 0.0 ties with two leading zeros
+    basis = np.eye(3)
+    m = Measurement("z", {lab: np.outer(basis[int(lab)], basis[int(lab)]) for lab in "021"})
+    rho = validate_density(np.outer(basis[1], basis[1]))
+    a = TestEventAssignment(Test(rho, (m, m)), {1: Event(m, {"1"}), 2: Event(m, {"1"})})
+    got = oracle._sample_chunk(a, (1, 2), 10, _ZeroDraws())
+    assert got == _reference_chunk(a, (1, 2), 10, _ZeroDraws()) == 10
+
+
+def test_sampler_rejects_a_nan_born_weight():
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=2, local_dim=2, seed=3))
+    m = a.test.measurements[0]
+    # swapped in past the completeness check in Measurement.__init__
+    m.kraus = MappingProxyType({**m.kraus, m.spectrum[0]: np.full((2, 2), np.nan)})
+    with pytest.raises(InternalConsistencyError) as exc:
+        sample_trajectories(a, (1,), n_samples=100, seed=0)
+    assert exc.value.detail["step"] == 1
 
 
 def test_sampler_never_holds_a_density_matrix_batch():

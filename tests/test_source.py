@@ -26,6 +26,14 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _calls(tree: ast.AST):
+    """``(line, name)`` of every call under *tree*, by function or method name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node.lineno, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_only_the_probability_layer_builds_channels():
     # lll.py and independence.py read each assignment's channel table; building
     # channels or complemented assignments there would rebuild it per query
@@ -33,12 +41,18 @@ def test_only_the_probability_layer_builds_channels():
     found = []
     for name in ("lll.py", "independence.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in builders:
-                    found.append(f"{name}:{node.lineno} {called}")
+        found += [f"{name}:{line} {called}" for line, called in _calls(tree) if called in builders]
+    assert found == []
+
+
+def test_sampler_step_has_no_short_axis_reductions():
+    # np.cumsum or argmax along the 2-5-wide outcome axis cost the sampler half
+    # its throughput; the step walks the outcome columns one at a time instead
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"), filename="oracle.py")
+    chunk = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sample_chunk"
+    )
+    found = [f"oracle.py:{line} {called}" for line, called in _calls(chunk) if called in {"cumsum", "argmax"}]
     assert found == []
 
 
