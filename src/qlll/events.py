@@ -43,6 +43,8 @@ class Measurement:
 
     Attributes
     ----------
+    kraus : mapping of str to ndarray
+        Outcome label -> frozen operator, read-only.
     spectrum : tuple of str
         Outcome labels in declaration order.
     projective : bool
@@ -91,8 +93,12 @@ class Measurement:
         self.name = str(name)
         self.dim = dim
         self.spectrum = tuple(labels)
-        self.kraus = MappingProxyType(dict(zip(labels, ops)))
+        self._kraus = MappingProxyType(dict(zip(labels, ops)))
         self.projective = self._detect_projective(ops, tol)
+
+    @property
+    def kraus(self) -> Mapping[str, np.ndarray]:
+        return self._kraus
 
     @staticmethod
     def _detect_projective(ops, tol: ToleranceConfig) -> bool:

@@ -32,8 +32,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import Event, Measurement, complement, complete_event
+from .independence import _leading_independent
 from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, check_dimension, validate_density
-from .lll import LLLInstance, check_general
+from .lll import LLLInstance, _assumption_row
 from .probability import (
     Test,
     TestEventAssignment,
@@ -358,17 +359,25 @@ def generate_assumption_satisfying(
     random outcome from the first failing slot's event.  An empty event has
     probability zero and satisfies any bound, so the search terminates.
     Returns the instance and the number of rejected candidates.
+
+    Row i reads only slots 1..i, and a drop changes only its row's slot, so
+    rows are settled in slot order: row i is evaluated after each drop at slot
+    i until it holds.  It reads slot i's marginal and its pairs (i, l), l = 1,
+    2, ..., up to the first that is not negatively independent (``s_i``); no
+    lemma column, all-avoided probability or later pair is computed.
     """
     a = generate(spec)
+    inst = LLLInstance(a, tuple(x))
     rng = np.random.default_rng(spec.seed + 7919)
     rejections = 0
-    while True:
-        inst = LLLInstance(a, tuple(x))
-        failing = [r for r in check_general(inst, tol).assumption_rows if not r["ok"]]
-        if not failing:
-            return inst, rejections
-        rejections += 1
-        a = _drop_outcome(a, failing[0]["i"], rng)
+    for i in range(1, a.n + 1):
+        while True:
+            marginal = pr_test_marginal(a, (i,), tol)
+            if _assumption_row(i, marginal, _leading_independent(a, i, marginal, tol), inst.x, tol)["ok"]:
+                break
+            rejections += 1
+            a = _drop_outcome(a, i, rng)
+    return LLLInstance(a, inst.x), rejections
 
 
 # ---------------------------------------------------------------------------

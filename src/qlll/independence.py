@@ -81,6 +81,21 @@ def is_neg_independent(
     return _neg_difference(a, i, K, tol)[1]
 
 
+def _leading_independent(a: TestEventAssignment, k: int, marginal: float, tol: ToleranceConfig) -> int:
+    """``compute_profile(a, tol).s[k - 1]``, from target *k*'s prefixes up to its first vote that is not True.
+
+    *marginal* is ``pr_test_marginal(a, (k,), tol)``; an undefined pair votes dependent.
+    """
+    for l in range(1, k):
+        try:
+            independent = _decide(_test_cond(a, tuple(range(1, l + 1)), (k,), a._miss, tol), marginal, tol)[1]
+        except ConditionOnZeroError:
+            independent = False
+        if not independent:
+            return l - 1
+    return k - 1
+
+
 @dataclass(frozen=True)
 class DependenceProfile:
     """Full negative-independence structure of an assignment.

@@ -125,6 +125,14 @@ def symmetric_chain_holds(d: int) -> bool:
     return 1.0 / ((d + 1) * math.e) <= x * (1.0 - x) ** d + 1e-12
 
 
+def _assumption_row(i: int, marginal: float, s_i: int, x: tuple[float, ...], tol: ToleranceConfig) -> dict:
+    """Hypothesis row i: Pr[E_i] <= x_i * prod_{j=s_i+1..i-1} (1 - x_j), within ``tol.prob``."""
+    bound = x[i - 1]
+    for j in range(s_i + 1, i):
+        bound *= 1.0 - x[j - 1]
+    return {"i": i, "marginal": marginal, "bound": bound, "ok": marginal <= bound + tol.prob}
+
+
 def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLReport:
     """Evaluate hypothesis, per-slot conditionals and the product bound.
 
@@ -134,12 +142,7 @@ def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLR
     a = inst.assignment
     profile = compute_profile(a, tol)
     marginals, lemma, lhs = _avoidance_pass(a, tol)
-    rows = []
-    for i, marginal in enumerate(marginals, start=1):
-        bound = inst.x[i - 1]
-        for j in range(profile.s[i - 1] + 1, i):
-            bound *= 1.0 - inst.x[j - 1]
-        rows.append({"i": i, "marginal": marginal, "bound": bound, "ok": marginal <= bound + tol.prob})
+    rows = [_assumption_row(i, m, profile.s[i - 1], inst.x, tol) for i, m in enumerate(marginals, start=1)]
     rhs = 1.0
     for v in inst.x:
         rhs *= 1.0 - v

@@ -11,6 +11,7 @@ the events they condition.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -156,23 +157,25 @@ class TestEventAssignment:
 
     def __init__(self, test: Test, events: Mapping[int, Event]):
         self.test = test
-        checked: dict[int, Event] = {}
-        for i, e in events.items():
-            i = int(i)
-            if not (1 <= i <= test.n):
-                raise ValidationError(f"assignment index {i} outside 1..{test.n}")
-            if e.measurement != test.measurements[i - 1]:
-                raise ValidationError(
-                    f"event at slot {i} is defined by measurement "
-                    f"{e.measurement.name!r}, expected {test.measurements[i - 1].name!r}"
-                )
-            checked[i] = e
+        checked = {self._slot(i, e): e for i, e in events.items()}
         self.events = MappingProxyType(dict(sorted(checked.items())))
         # Each test-relative walk applies, per slot, its complete channel or the
         # hit or miss channel of its event; all share the measurements' arrays.
-        self._complete = tuple(super_operator_of(complete_event(m)) for m in test.measurements)
+        self._complete = tuple(super_operator_of(complete_event(m)) for m in self.test.measurements)
         self._hit = {i: super_operator_of(e) for i, e in self.events.items()}
         self._miss = {i: super_operator_of(complement(e)) for i, e in self.events.items()}
+
+    def _slot(self, i: int, e: Event) -> int:
+        """Slot *i* as an int, once *e* is known to be an event of the measurement there."""
+        i = int(i)
+        if not (1 <= i <= self.n):
+            raise ValidationError(f"assignment index {i} outside 1..{self.n}")
+        if e.measurement != self.test.measurements[i - 1]:
+            raise ValidationError(
+                f"event at slot {i} is defined by measurement "
+                f"{e.measurement.name!r}, expected {self.test.measurements[i - 1].name!r}"
+            )
+        return i
 
     @property
     def n(self) -> int:
@@ -188,9 +191,13 @@ class TestEventAssignment:
             raise MissingAssignmentError(f"no event assigned at slot {i}") from None
 
     def with_event(self, i: int, event: Event) -> "TestEventAssignment":
-        events = dict(self.events)
-        events[int(i)] = event
-        return TestEventAssignment(self.test, events)
+        """A copy with *event* at slot *i*; it shares every other slot's channels with this one."""
+        i = self._slot(i, event)
+        new = copy.copy(self)
+        new.events = MappingProxyType(dict(sorted({**self.events, i: event}.items())))
+        new._hit = {**self._hit, i: super_operator_of(event)}
+        new._miss = {**self._miss, i: super_operator_of(complement(event))}
+        return new
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {e!r}" for i, e in self.events.items())

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,17 @@ from qlll.events import (
     super_operator_of,
     union,
 )
-from qlll.generate import computational_measurement, plus_state, zx_measurement_pair
+from qlll.generate import (
+    GeneratorKind,
+    GeneratorSpec,
+    computational_measurement,
+    generate,
+    plus_state,
+    zx_measurement_pair,
+)
 from qlll.linalg import validate_density
+from qlll.oracle import enumerate_probability
+from qlll.probability import pr_test_marginal
 
 
 def test_computational_measurement_is_projective():
@@ -70,6 +81,22 @@ def test_measurement_equality_and_hash():
     c = computational_measurement(2, "X")
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_kraus_operators_are_read_only():
+    # channel tables are built from the operators once; replacing them after
+    # the completeness check used to split the routes without an error
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=2, local_dim=2, seed=3))
+    m = a.test.measurements[0]
+    before = m.kraus
+    with pytest.raises(AttributeError):
+        m.kraus = MappingProxyType({lab: 0 * np.eye(2) for lab in m.spectrum})
+    with pytest.raises(TypeError):
+        m.kraus[m.spectrum[0]] = 0 * np.eye(2)
+    with pytest.raises(ValueError):
+        m.kraus[m.spectrum[0]][0, 0] = 0.0
+    assert m.kraus is before
+    assert pr_test_marginal(a, (1,)) == pytest.approx(enumerate_probability(a, (1,)), abs=1e-12)
 
 
 def test_event_forms_and_outcomes():

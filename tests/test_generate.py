@@ -4,17 +4,22 @@ import json
 import numpy as np
 import pytest
 
+from helpers import complemented, pool_spec
 from qlll.errors import ValidationError
+from qlll.events import complete_event
 from qlll.generate import (
     _READS,
     GeneratorKind,
     GeneratorSpec,
+    _drop_outcome,
     generate,
     generate_assumption_satisfying,
     rarefy_events,
     worked_examples,
 )
-from qlll.lll import check_general
+from qlll.independence import _leading_independent, compute_profile
+from qlll.linalg import DEFAULT_TOL
+from qlll.lll import LLLInstance, check_general
 from qlll.probability import pr_test_marginal
 from qlll.serialize import dumps
 
@@ -172,6 +177,58 @@ def test_assumption_satisfying_generation():
     report = check_general(inst)
     assert all(report.assumption_ok)
     assert report.bound_ok
+
+
+def _reference_search(spec, x, tol=DEFAULT_TOL):
+    """The search as a whole check per candidate: drop at the first failing row."""
+    a = generate(spec)
+    rng = np.random.default_rng(spec.seed + 7919)
+    rejections = 0
+    while True:
+        inst = LLLInstance(a, tuple(x))
+        failing = [r for r in check_general(inst, tol).assumption_rows if not r["ok"]]
+        if not failing:
+            return inst, rejections
+        rejections += 1
+        a = _drop_outcome(a, failing[0]["i"], rng)
+
+
+def _search_outcome(inst, rejections):
+    a = inst.assignment
+    return rejections, inst.x, sorted((i, e.sorted_outcomes()) for i, e in a.events.items())
+
+
+SEARCH_WEIGHTS = (
+    lambda n: (0.3,) * n,
+    lambda n: (0.5,) * n,
+    lambda n: (0.2, 0.6, 0.35, 0.45)[:n],
+)
+
+
+def test_row_by_row_search_matches_whole_checks():
+    for t in range(40):
+        spec = pool_spec(t)
+        for weights in SEARCH_WEIGHTS:
+            x = weights(spec.n)
+            got = _search_outcome(*generate_assumption_satisfying(spec, x))
+            assert got == _search_outcome(*_reference_search(spec, x)), (t, x)
+
+
+def _leading_variants(a):
+    # a complete event at slot j leaves every prefix through j conditioning on zero
+    return (a, complemented(a, a.assigned())) + tuple(
+        a.with_event(j, complete_event(a.test.measurements[j - 1])) for j in range(1, a.n)
+    )
+
+
+def test_leading_independent_prefix_is_the_profile_s():
+    for t in range(40):
+        for a in _leading_variants(generate(pool_spec(t))):
+            s = compute_profile(a).s
+            got = tuple(
+                _leading_independent(a, k, pr_test_marginal(a, (k,)), DEFAULT_TOL) for k in range(1, a.n + 1)
+            )
+            assert got == s, t
 
 
 # Construction bits: SHA-256 digests of every generator kind's instances,

@@ -377,11 +377,18 @@ def _reference_test_cond(a, K, L, flip=()):
 
 def _table_variants(a):
     # the unassigned-slot variants drop the first or the last slot's event; a
-    # complete event at slot 1 leaves every later avoided prefix at probability 0
-    return _variants(a) + tuple(
+    # complete event at slot 1 leaves every later avoided prefix at probability 0.
+    # All but the unassigned ones come from with_event, which shares the
+    # parent's channels outside the slot it changes; the last one fills an
+    # unassigned slot that way.
+    dropped = tuple(
         TestEventAssignment(a.test, {i: e for i, e in a.events.items() if i != drop})
         for drop in (1, a.n)
-    ) + (a.with_event(1, complete_event(a.test.measurements[0])),)
+    )
+    return _variants(a) + dropped + (
+        a.with_event(1, complete_event(a.test.measurements[0])),
+        dropped[0].with_event(1, complement(a.event(1))),
+    )
 
 
 def test_channel_table_matches_padded_event_sequences(pool40):
@@ -434,6 +441,35 @@ def test_neg_difference_checks_the_target_before_missing_conditions(pool40):
     assert not isinstance(exc.value, MissingAssignmentError)
     with pytest.raises(MissingAssignmentError, match="no event assigned at slot 1"):
         _neg_difference(a, a.n, (1,), DEFAULT_TOL)
+
+
+def _same_channel(f, g):
+    # super_operator_of takes the measurement's frozen arrays, so equal
+    # channels hold the very same Kraus arrays
+    return len(f.kraus) == len(g.kraus) and all(x is y for x, y in zip(f.kraus, g.kraus))
+
+
+def test_with_event_rebuilds_only_the_slot_it_changes(pool40):
+    for a in pool40:
+        parent = (dict(a.events), dict(a._hit), dict(a._miss))
+        for i in a.assigned():
+            b = a.with_event(i, complement(a.event(i)))
+            assert b.test is a.test and b._complete is a._complete
+            for j in a.assigned():
+                if j != i:
+                    assert b.events[j] is a.events[j]
+                    assert b._hit[j] is a._hit[j] and b._miss[j] is a._miss[j]
+            fresh = TestEventAssignment(a.test, b.events)
+            assert list(b.events.items()) == list(fresh.events.items())
+            assert b._hit.keys() == fresh._hit.keys() == b._miss.keys() == fresh._miss.keys()
+            assert all(_same_channel(b._hit[j], fresh._hit[j]) for j in b.assigned())
+            assert all(_same_channel(b._miss[j], fresh._miss[j]) for j in b.assigned())
+            assert all(_same_channel(f, g) for f, g in zip(b._complete, fresh._complete))
+        assert (dict(a.events), dict(a._hit), dict(a._miss)) == parent
+        with pytest.raises(ValidationError, match="event at slot 1 is defined by measurement 'M2'"):
+            a.with_event(1, complete_event(a.test.measurements[1]))
+        with pytest.raises(ValidationError, match=f"assignment index {a.n + 1} outside 1..{a.n}"):
+            a.with_event(a.n + 1, a.event(1))
 
 
 def test_assignment_events_are_read_only(pool40):

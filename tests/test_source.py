@@ -56,6 +56,20 @@ def test_sampler_step_has_no_short_axis_reductions():
     assert found == []
 
 
+def test_assumption_search_runs_no_whole_check():
+    # the search settles one hypothesis row at a time; a full check or profile
+    # per candidate evaluates every row, the lemma column and all O(n^2) pairs
+    tree = ast.parse((SRC / "generate.py").read_text(encoding="utf-8"), filename="generate.py")
+    search = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "generate_assumption_satisfying"
+    )
+    whole = {"check_general", "compute_profile"}
+    found = [f"generate.py:{line} {called}" for line, called in _calls(search) if called in whole]
+    assert found == []
+
+
 def test_library_imports_are_used():
     # __init__.py imports only to re-export, so it is left out
     files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
