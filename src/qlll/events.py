@@ -43,13 +43,16 @@ class Measurement:
 
     Attributes
     ----------
+    name, dim : str, int
+        Read-only.
     kraus : mapping of str to ndarray
         Outcome label -> frozen operator, read-only.
     spectrum : tuple of str
-        Outcome labels in declaration order.
+        Outcome labels in declaration order, read-only.
     projective : bool
         True when every operator is a Hermitian idempotent and the family is
-        pairwise orthogonal (decided at construction within ``tol.herm``).
+        pairwise orthogonal (decided when read, within the construction
+        tolerance's ``tol.herm``).
     """
 
     def __init__(self, name: str, kraus, tol: ToleranceConfig = DEFAULT_TOL):
@@ -90,15 +93,33 @@ class Measurement:
                 f"max residual {residual:.3e} > {tol.complete:.1e}",
                 residual=residual,
             )
-        self.name = str(name)
-        self.dim = dim
-        self.spectrum = tuple(labels)
+        self._name = str(name)
+        self._dim = dim
+        self._spectrum = tuple(labels)
         self._kraus = MappingProxyType(dict(zip(labels, ops)))
-        self.projective = self._detect_projective(ops, tol)
+        self._tol = tol
+
+    # read-only: every channel table is built from these once, after the checks above
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def spectrum(self) -> tuple[str, ...]:
+        return self._spectrum
 
     @property
     def kraus(self) -> Mapping[str, np.ndarray]:
         return self._kraus
+
+    @property
+    def projective(self) -> bool:
+        # no library path reads it, so it is decided when read, at the construction tolerance
+        return self._detect_projective(list(self._kraus.values()), self._tol)
 
     @staticmethod
     def _detect_projective(ops, tol: ToleranceConfig) -> bool:

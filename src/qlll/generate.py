@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import Event, Measurement, complement, complete_event
-from .independence import _leading_independent
+from .independence import _PrefixWalk
 from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, check_dimension, validate_density
 from .lll import LLLInstance, _assumption_row
 from .probability import (
@@ -364,19 +364,23 @@ def generate_assumption_satisfying(
     rows are settled in slot order: row i is evaluated after each drop at slot
     i until it holds.  It reads slot i's marginal and its pairs (i, l), l = 1,
     2, ..., up to the first that is not negatively independent (``s_i``); no
-    lemma column, all-avoided probability or later pair is computed.
+    lemma column, all-avoided probability or later pair is computed.  Each
+    state entering slot i is walked once, when slot i - 1 is settled: rho
+    through the complete channels, and each miss prefix through the complete
+    channels after it.  A candidate applies only slot i's hit channel, to
+    those states it reads.
     """
     a = generate(spec)
     inst = LLLInstance(a, tuple(x))
     rng = np.random.default_rng(spec.seed + 7919)
     rejections = 0
+    walk = _PrefixWalk(a)
     for i in range(1, a.n + 1):
-        while True:
-            marginal = pr_test_marginal(a, (i,), tol)
-            if _assumption_row(i, marginal, _leading_independent(a, i, marginal, tol), inst.x, tol)["ok"]:
-                break
+        while not _assumption_row(i, *walk.row(a, tol), inst.x, tol)["ok"]:
             rejections += 1
             a = _drop_outcome(a, i, rng)
+        if i < a.n:
+            walk.advance(a)
     return LLLInstance(a, inst.x), rejections
 
 

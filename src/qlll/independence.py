@@ -13,8 +13,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConditionOnZeroError, ValidationError
-from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import TestEventAssignment, _test_cond, check_index_set, pr_test_cond, pr_test_marginal
+from .linalg import DEFAULT_TOL, ToleranceConfig, trace
+from .probability import (
+    TestEventAssignment,
+    _clamp_probability,
+    _ratio,
+    _test_cond,
+    check_index_set,
+    pr_test_cond,
+    pr_test_marginal,
+)
 
 
 def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[int, ...]:
@@ -81,19 +89,39 @@ def is_neg_independent(
     return _neg_difference(a, i, K, tol)[1]
 
 
-def _leading_independent(a: TestEventAssignment, k: int, marginal: float, tol: ToleranceConfig) -> int:
-    """``compute_profile(a, tol).s[k - 1]``, from target *k*'s prefixes up to its first vote that is not True.
+class _PrefixWalk:
+    """Hypothesis-row statistics of slots 1, 2, ... in order, each prefix state walked once.
 
-    *marginal* is ``pr_test_marginal(a, (k,), tol)``; an undefined pair votes dependent.
+    With slots 1..i-1 settled it holds ``tau`` (rho through their complete
+    channels), ``sigma`` (rho through their miss channels) and, for l < i,
+    sigma_l carried on through complete channels l+1..i-1 with its raw trace.
     """
-    for l in range(1, k):
-        try:
-            independent = _decide(_test_cond(a, tuple(range(1, l + 1)), (k,), a._miss, tol), marginal, tol)[1]
-        except ConditionOnZeroError:
-            independent = False
-        if not independent:
-            return l - 1
-    return k - 1
+
+    def __init__(self, a: TestEventAssignment):
+        self.tau = self.sigma = a.test.rho.matrix
+        self.carried: list[tuple] = []
+
+    def row(self, a: TestEventAssignment, tol: ToleranceConfig) -> tuple[float, int]:
+        """Marginal and ``compute_profile(a, tol).s[i - 1]`` of the first unsettled slot i."""
+        # drops rebuild only slot i's channels (``with_event`` shares the complete
+        # channels and earlier miss channels), so the carried states stay valid
+        hit = a._hit[len(self.carried) + 1]
+        marginal = _clamp_probability(trace(hit(self.tau)).real, tol)
+        for l, (w, raw) in enumerate(self.carried, start=1):
+            denom = _clamp_probability(raw, tol)
+            if denom <= tol.prob or not _decide(
+                _ratio(_clamp_probability(trace(hit(w)).real, tol), denom, tol), marginal, tol
+            )[1]:
+                return marginal, l - 1
+        return marginal, len(self.carried)
+
+    def advance(self, a: TestEventAssignment) -> None:
+        """Settle the first unsettled slot with its event in *a*."""
+        complete, miss = a._complete[len(self.carried)], a._miss[len(self.carried) + 1]
+        self.tau = complete(self.tau)
+        self.carried = [(complete(w), raw) for w, raw in self.carried]
+        self.sigma = miss(self.sigma)
+        self.carried.append((self.sigma, trace(self.sigma).real))
 
 
 @dataclass(frozen=True)

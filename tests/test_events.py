@@ -3,6 +3,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from helpers import build_pool
 from qlll.errors import (
     DifferentMeasurementsError,
     DimensionMismatchError,
@@ -30,7 +31,7 @@ from qlll.generate import (
     plus_state,
     zx_measurement_pair,
 )
-from qlll.linalg import validate_density
+from qlll.linalg import DEFAULT_TOL, validate_density
 from qlll.oracle import enumerate_probability
 from qlll.probability import pr_test_marginal
 
@@ -60,12 +61,37 @@ def test_mixed_operator_dimensions_rejected():
         Measurement("mixed", {"0": np.eye(2), "1": np.eye(3)})
 
 
-def test_non_projective_family_detected():
+def _noisy_measurement():
     # two scaled identities: complete, but not projections
     k0 = np.sqrt(0.3) * np.eye(2, dtype=complex)
     k1 = np.sqrt(0.7) * np.eye(2, dtype=complex)
-    m = Measurement("noisy", {"0": k0, "1": k1})
+    return Measurement("noisy", {"0": k0, "1": k1})
+
+
+def test_non_projective_family_detected():
+    assert not _noisy_measurement().projective
+
+
+def test_projective_is_decided_when_read(monkeypatch):
+    calls = []
+    detect = Measurement._detect_projective
+
+    def counted(ops, tol):
+        calls.append(1)
+        return detect(ops, tol)
+
+    monkeypatch.setattr(Measurement, "_detect_projective", staticmethod(counted))
+    m = _noisy_measurement()
+    assert calls == []
     assert not m.projective
+    assert calls == [1]
+
+
+def test_projective_equals_the_decision_at_construction():
+    measurements = [m for a in build_pool(40) for m in a.test.measurements] + [_noisy_measurement()]
+    decided = [Measurement._detect_projective(list(m.kraus.values()), DEFAULT_TOL) for m in measurements]
+    assert [m.projective for m in measurements] == decided
+    assert True in decided and False in decided
 
 
 def test_zx_pair_second_measurement_uses_plus_basis():
@@ -84,18 +110,26 @@ def test_measurement_equality_and_hash():
 
 
 def test_kraus_operators_are_read_only():
-    # channel tables are built from the operators once; replacing them after
-    # the completeness check used to split the routes without an error
+    # channel tables are built from the operators and labels once; replacing
+    # them after the completeness check used to split the routes without an
+    # error, and the name, dimension and labels are read-only like the operators
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=2, local_dim=2, seed=3))
     m = a.test.measurements[0]
-    before = m.kraus
-    with pytest.raises(AttributeError):
-        m.kraus = MappingProxyType({lab: 0 * np.eye(2) for lab in m.spectrum})
+    before = (m.name, m.dim, m.spectrum, m.kraus)
+    replacements = {
+        "kraus": MappingProxyType({lab: 0 * np.eye(2) for lab in m.spectrum}),
+        "spectrum": m.spectrum[:1],
+        "dim": 3,
+        "name": "other",
+    }
+    for field, value in replacements.items():
+        with pytest.raises(AttributeError):
+            setattr(m, field, value)
     with pytest.raises(TypeError):
         m.kraus[m.spectrum[0]] = 0 * np.eye(2)
     with pytest.raises(ValueError):
         m.kraus[m.spectrum[0]][0, 0] = 0.0
-    assert m.kraus is before
+    assert all(now is then for now, then in zip((m.name, m.dim, m.spectrum, m.kraus), before))
     assert pr_test_marginal(a, (1,)) == pytest.approx(enumerate_probability(a, (1,)), abs=1e-12)
 
 

@@ -17,10 +17,11 @@ from qlll.generate import (
     rarefy_events,
     worked_examples,
 )
-from qlll.independence import _leading_independent, compute_profile
+from qlll import independence
+from qlll.independence import _PrefixWalk, compute_profile
 from qlll.linalg import DEFAULT_TOL
 from qlll.lll import LLLInstance, check_general
-from qlll.probability import pr_test_marginal
+from qlll.probability import _test_cond, pr_test_marginal
 from qlll.serialize import dumps
 
 RANDOM_KINDS = (
@@ -214,6 +215,26 @@ def test_row_by_row_search_matches_whole_checks():
             assert got == _search_outcome(*_reference_search(spec, x)), (t, x)
 
 
+# pool specs have n <= 4; these carry prefix states through up to eleven slots,
+# and the tensor product and the sliding window run at dimension 64
+DEEP_SEARCHES = (
+    (GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=8, local_dim=3, seed=11), 0.3),
+    (GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=8, local_dim=3, seed=12), 0.5),
+    (GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=12, local_dim=3, seed=14), 0.3),
+    (GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=8, local_dim=3, seed=15), 0.5),
+    (GeneratorSpec(kind=GeneratorKind.DEPENDENT_CHAIN, n=12, local_dim=2, seed=16), 0.3),
+    (GeneratorSpec(kind=GeneratorKind.DEPENDENT_CHAIN, n=12, local_dim=2, seed=17), 0.5),
+    (GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=6, local_dim=2, seed=18), 0.3),
+    (GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=5, local_dim=2, window=2, seed=19), 0.7),
+)
+
+
+def test_deep_search_matches_whole_checks():
+    for spec, x in DEEP_SEARCHES:
+        got = _search_outcome(*generate_assumption_satisfying(spec, (x,) * spec.n))
+        assert got == _search_outcome(*_reference_search(spec, (x,) * spec.n)), spec
+
+
 def _leading_variants(a):
     # a complete event at slot j leaves every prefix through j conditioning on zero
     return (a, complemented(a, a.assigned())) + tuple(
@@ -221,14 +242,30 @@ def _leading_variants(a):
     )
 
 
-def test_leading_independent_prefix_is_the_profile_s():
+def test_leading_independent_prefix_is_the_profile_s(monkeypatch):
+    # the walk decides the same floats as the per-pair route: each marginal and
+    # each conditional it votes on equals a fresh walk from rho, bit for bit
+    decided, decide = [], independence._decide
+
+    def recording(lhs, rhs, tol):
+        decided.append((lhs, rhs))
+        return decide(lhs, rhs, tol)
+
+    monkeypatch.setattr(independence, "_decide", recording)
     for t in range(40):
         for a in _leading_variants(generate(pool_spec(t))):
-            s = compute_profile(a).s
-            got = tuple(
-                _leading_independent(a, k, pr_test_marginal(a, (k,)), DEFAULT_TOL) for k in range(1, a.n + 1)
-            )
-            assert got == s, t
+            walk, got = _PrefixWalk(a), []
+            for k in range(1, a.n + 1):
+                decided.clear()
+                marginal, s_k = walk.row(a, DEFAULT_TOL)
+                got.append(s_k)
+                assert marginal == pr_test_marginal(a, (k,)), t
+                prefixes = (tuple(range(1, l + 1)) for l in range(1, len(decided) + 1))
+                fresh = [_test_cond(a, K, (k,), a._miss, DEFAULT_TOL) for K in prefixes]
+                assert decided == [(conditional, marginal) for conditional in fresh], t
+                if k < a.n:
+                    walk.advance(a)
+            assert tuple(got) == compute_profile(a).s, t
 
 
 # Construction bits: SHA-256 digests of every generator kind's instances,

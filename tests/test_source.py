@@ -34,6 +34,16 @@ def _calls(tree: ast.AST):
             yield node.lineno, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def _top_level(name: str, node_name: str) -> ast.AST:
+    """The function or class *node_name* defined at the top level of library file *name*."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    return next(
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == node_name
+    )
+
+
 def test_only_the_probability_layer_builds_channels():
     # lll.py and independence.py read each assignment's channel table; building
     # channels or complemented assignments there would rebuild it per query
@@ -48,25 +58,20 @@ def test_only_the_probability_layer_builds_channels():
 def test_sampler_step_has_no_short_axis_reductions():
     # np.cumsum or argmax along the 2-5-wide outcome axis cost the sampler half
     # its throughput; the step walks the outcome columns one at a time instead
-    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"), filename="oracle.py")
-    chunk = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sample_chunk"
-    )
+    chunk = _top_level("oracle.py", "_sample_chunk")
     found = [f"oracle.py:{line} {called}" for line, called in _calls(chunk) if called in {"cumsum", "argmax"}]
     assert found == []
 
 
 def test_assumption_search_runs_no_whole_check():
     # the search settles one hypothesis row at a time; a full check or profile
-    # per candidate evaluates every row, the lemma column and all O(n^2) pairs
-    tree = ast.parse((SRC / "generate.py").read_text(encoding="utf-8"), filename="generate.py")
-    search = next(
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "generate_assumption_satisfying"
-    )
-    whole = {"check_general", "compute_profile"}
-    found = [f"generate.py:{line} {called}" for line, called in _calls(search) if called in whole]
+    # per candidate evaluates every row, the lemma column and all O(n^2) pairs,
+    # and a walk from rho per candidate repeats the settled slots' channels
+    whole = {"check_general", "compute_profile", "pr_test_marginal", "_test_cond", "is_neg_independent", "_walk"}
+    found = []
+    for name, node_name in (("generate.py", "generate_assumption_satisfying"), ("independence.py", "_PrefixWalk")):
+        calls = _calls(_top_level(name, node_name))
+        found += [f"{name}:{line} {called}" for line, called in calls if called in whole]
     assert found == []
 
 
