@@ -152,7 +152,7 @@ def cmd_check(args) -> tuple[dict, int]:
     a = _need_events(assignment, "check")
     if args.variant == "general":
         _unread(args.p, "--p", "check --variant general")
-        x = _weights(args.x) if args.x else x_file
+        x = _weights(args.x) if args.x is not None else x_file
         if x is None:
             raise ValidationError("general check needs weights: --x or an 'x' array in the file")
         report = check_general(LLLInstance(a, x))
@@ -218,7 +218,7 @@ def cmd_gen(args) -> tuple[dict | None, int]:
         raise ValidationError(f"{context} needs --seed")
     a = generate(GeneratorSpec(kind=args.kind, **given))
     # validated as a check would take them: one weight per slot, each in (0, 1]
-    x = LLLInstance(a, _weights(args.x)).x if args.x else None
+    x = LLLInstance(a, _weights(args.x)).x if args.x is not None else None
     if not args.out:
         return instance_to_dict(a, x), EXIT_OK
     try:

@@ -338,6 +338,8 @@ def rarefy_events(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> TestEventAssignment:
     """Shrink event outcome sets until every single-event marginal is <= p_cap."""
+    if not (0.0 <= p_cap <= 1.0):  # NaN and infinities fail it too
+        raise ValidationError(f"p_cap={p_cap!r} is not a probability in [0, 1]")
     while True:
         marginals = {i: pr_test_marginal(a, (i,), tol) for i in a.assigned()}
         worst = max(marginals, key=marginals.get)
@@ -361,14 +363,10 @@ def generate_assumption_satisfying(
     Returns the instance and the number of rejected candidates.
 
     Row i reads only slots 1..i, and a drop changes only its row's slot, so
-    rows are settled in slot order: row i is evaluated after each drop at slot
-    i until it holds.  It reads slot i's marginal and its pairs (i, l), l = 1,
-    2, ..., up to the first that is not negatively independent (``s_i``); no
-    lemma column, all-avoided probability or later pair is computed.  Each
-    state entering slot i is walked once, when slot i - 1 is settled: rho
-    through the complete channels, and each miss prefix through the complete
-    channels after it.  A candidate applies only slot i's hit channel, to
-    those states it reads.
+    rows are settled in slot order, row i re-read after each drop at slot i
+    until it holds.  It reads slot i's marginal and its pairs (i, l), l = 1, 2,
+    ..., up to the first that is not negatively independent (``s_i``), from
+    one ``_PrefixWalk`` for the whole search.
     """
     a = generate(spec)
     inst = LLLInstance(a, tuple(x))

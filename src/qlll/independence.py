@@ -90,38 +90,60 @@ def is_neg_independent(
 
 
 class _PrefixWalk:
-    """Hypothesis-row statistics of slots 1, 2, ... in order, each prefix state walked once.
+    """The forward walk of a test: slots 1, 2, ... settled in order, each prefix state walked once.
 
-    With slots 1..i-1 settled it holds ``tau`` (rho through their complete
-    channels), ``sigma`` (rho through their miss channels) and, for l < i,
-    sigma_l carried on through complete channels l+1..i-1 with its raw trace.
+    ``states[l]`` is ``[w, raw, j]``: sigma_l is rho through the miss channels of
+    slots 1..l (sigma_0 = rho), ``raw = tr(sigma_l).real``, and ``w`` is sigma_l
+    carried on through the complete channels of slots l+1..j.  Slot i's marginal
+    reads sigma_0 and its pair (i, l) reads sigma_l, each carried to slot i only
+    when read, so a candidate event at slot i applies only its hit channel.
     """
 
     def __init__(self, a: TestEventAssignment):
-        self.tau = self.sigma = a.test.rho.matrix
-        self.carried: list[tuple] = []
+        rho = a.test.rho.matrix
+        self.states = [[rho, trace(rho).real, 0]]
+
+    def _hit_trace(self, a: TestEventAssignment, l: int, tol: ToleranceConfig) -> float:
+        """Clamped ``tr(hit_i(sigma_l))`` at the first unsettled slot i, sigma_l carried to slot i."""
+        i = len(self.states)
+        a.event(i)  # an unassigned slot raises MissingAssignmentError
+        w, raw, j = self.states[l]
+        for complete in a._complete[j:i - 1]:
+            w = complete(w)
+        self.states[l] = [w, raw, i - 1]
+        return _clamp_probability(trace(a._hit[i](w)).real, tol)
+
+    def marginal(self, a: TestEventAssignment, tol: ToleranceConfig) -> float:
+        """Pr[E_i] of the first unsettled slot i."""
+        return self._hit_trace(a, 0, tol)
+
+    def conditional(self, a: TestEventAssignment, l: int, tol: ToleranceConfig) -> float | None:
+        """Pr[E_i | not-E_1..not-E_l] at the first unsettled slot i > l; None at probability <= tol.prob."""
+        denom = _clamp_probability(self.states[l][1], tol)
+        if denom <= tol.prob:
+            return None
+        return _ratio(self._hit_trace(a, l, tol), denom, tol)
 
     def row(self, a: TestEventAssignment, tol: ToleranceConfig) -> tuple[float, int]:
         """Marginal and ``compute_profile(a, tol).s[i - 1]`` of the first unsettled slot i."""
         # drops rebuild only slot i's channels (``with_event`` shares the complete
-        # channels and earlier miss channels), so the carried states stay valid
-        hit = a._hit[len(self.carried) + 1]
-        marginal = _clamp_probability(trace(hit(self.tau)).real, tol)
-        for l, (w, raw) in enumerate(self.carried, start=1):
-            denom = _clamp_probability(raw, tol)
-            if denom <= tol.prob or not _decide(
-                _ratio(_clamp_probability(trace(hit(w)).real, tol), denom, tol), marginal, tol
-            )[1]:
+        # channels and earlier miss channels), so the walked states stay valid
+        marginal = self.marginal(a, tol)
+        for l in range(1, len(self.states)):
+            conditional = self.conditional(a, l, tol)
+            if conditional is None or not _decide(conditional, marginal, tol)[1]:
                 return marginal, l - 1
-        return marginal, len(self.carried)
+        return marginal, len(self.states) - 1
 
     def advance(self, a: TestEventAssignment) -> None:
-        """Settle the first unsettled slot with its event in *a*."""
-        complete, miss = a._complete[len(self.carried)], a._miss[len(self.carried) + 1]
-        self.tau = complete(self.tau)
-        self.carried = [(complete(w), raw) for w, raw in self.carried]
-        self.sigma = miss(self.sigma)
-        self.carried.append((self.sigma, trace(self.sigma).real))
+        """Settle the first unsettled slot i with its event in *a*: sigma_i = miss_i(sigma_{i-1})."""
+        i = len(self.states)
+        sigma = a._miss[i](self.states[-1][0])
+        self.states.append([sigma, trace(sigma).real, i])
+
+    def avoided(self, tol: ToleranceConfig) -> float:
+        """Pr[none of the settled slots' events occurs]."""
+        return _clamp_probability(self.states[-1][1], tol)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import BadPError, ConditionOnZeroError, ValidationError
-from .independence import DependenceProfile, compute_profile
-from .linalg import DEFAULT_TOL, ToleranceConfig, trace
-from .probability import TestEventAssignment, _clamp_probability, _cond, _padded
+from .errors import BadPError, ValidationError
+from .independence import DependenceProfile, _PrefixWalk, compute_profile
+from .linalg import DEFAULT_TOL, ToleranceConfig
+from .probability import TestEventAssignment
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,15 @@ class LLLInstance:
             raise ValidationError(f"local-lemma checks need an event at every slot; missing {missing}")
 
 
-def _avoidance_pass(
-    a: TestEventAssignment, tol: ToleranceConfig
-) -> tuple[list[float], list[float | None], float]:
-    """Marginals, lemma conditionals and Pr[all avoided] from one walk of the test.
-
-    ``tau`` passes through every slot's complete channel, so ``tr(E_i(tau))``
-    is the padded marginal Pr[E_i].  ``sigma`` passes through every slot's
-    complement channel, so ``tr(E_i(sigma)) / tr(sigma)``, read by ``_cond``
-    like every conditional, is Pr[E_i | none of E_1..E_{i-1}]: None when
-    ``tr(sigma) <= tol.prob``.  The trace of the final ``sigma`` is the
-    all-avoided probability.  The channels come from the assignment's table,
-    in the order in which ``pr_test_marginal`` and ``_neg_difference`` walk
-    them.
-    """
-    slots = tuple(range(1, a.n + 1))
-    tau = sigma = a.test.rho.matrix
-    marginals: list[float] = []
-    lemma: list[float | None] = []
-    for hit, miss, complete in zip(_padded(a, slots, a._hit), _padded(a, slots, a._miss), a._complete):
-        marginals.append(_clamp_probability(trace(hit(tau)).real, tol))
-        try:
-            lemma.append(_cond(sigma, (), (hit,), tol, "avoided prefix has"))
-        except ConditionOnZeroError:
-            lemma.append(None)
-        tau = complete(tau)
-        sigma = miss(sigma)
-    return marginals, lemma, _clamp_probability(trace(sigma).real, tol)
+def _avoidance_pass(a: TestEventAssignment, tol: ToleranceConfig) -> tuple[list, list, float]:
+    """Marginals, lemma column Pr[E_i | none of E_1..E_{i-1}] and Pr[all avoided] from one walk."""
+    walk = _PrefixWalk(a)
+    marginals, lemma = [], []
+    for i in range(1, a.n + 1):
+        marginals.append(walk.marginal(a, tol))
+        lemma.append(walk.conditional(a, i - 1, tol))
+        walk.advance(a)
+    return marginals, lemma, walk.avoided(tol)
 
 
 @dataclass(frozen=True)

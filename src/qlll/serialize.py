@@ -135,7 +135,10 @@ def instance_from_dict(
         pairs = [
             (label, matrix_from_json(mat, dim)) for label, mat in zip(outcomes, kraus)
         ]
-        measurements.append(Measurement(str(raw.get("name", f"M{pos}")), pairs, tol))
+        name = raw.get("name", f"M{pos}")
+        if not isinstance(name, str):
+            raise ParseError(f"measurement {pos} name must be a string")
+        measurements.append(Measurement(name, pairs, tol))
 
     test = Test(state, tuple(measurements))
 

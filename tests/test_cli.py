@@ -159,6 +159,13 @@ def test_check_general_non_numeric_weights_exit_2(capsys, ref_file):
     assert "abc" in doc["error"]["message"]
 
 
+def test_check_general_empty_weights_exit_2(capsys, tensor_file):
+    # an empty --x is given, so it must parse; it used to fall back to the file's x
+    code, doc = run(capsys, "check", "--instance", tensor_file, "--x", "")
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+
+
 def test_check_symmetric(capsys, ref_file, tensor_file):
     code, doc = run(capsys, "check", "--instance", tensor_file, "--variant", "symmetric")
     assert code == 0
@@ -273,6 +280,15 @@ def test_gen_non_numeric_weights_exit_2(capsys):
     assert code == 2
     assert doc["error"]["type"] == "Parse"
     assert "zz" in doc["error"]["message"]
+
+
+def test_gen_empty_weights_exit_2(capsys, tmp_path):
+    # an empty --x used to write an instance without weights and exit 0
+    out = tmp_path / "gen.json"
+    code, doc = run(capsys, "gen", "--kind", "paper-examples", "--x", "", "--out", str(out))
+    assert code == 2
+    assert doc["error"]["type"] == "Parse"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("weights,message", [

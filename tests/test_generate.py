@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import complemented, pool_spec
-from qlll.errors import ValidationError
+from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import complete_event
 from qlll.generate import (
     _READS,
@@ -171,6 +171,14 @@ def test_rarefy_caps_every_marginal():
     assert rarefy_events(rare, cap, np.random.default_rng(1)) is rare
 
 
+@pytest.mark.parametrize("cap", [-0.1, float("nan"), 1.5, float("inf")])
+def test_rarefy_refuses_a_cap_outside_the_unit_interval(cap):
+    # a negative or NaN cap used to empty every event and then fail inside numpy
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=3, local_dim=3, seed=9))
+    with pytest.raises(ValidationError, match=r"is not a probability in \[0, 1\]"):
+        rarefy_events(a, cap, np.random.default_rng(0))
+
+
 def test_assumption_satisfying_generation():
     spec = GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=3, local_dim=3, seed=3)
     inst, rejections = generate_assumption_satisfying(spec, (0.3, 0.3, 0.3))
@@ -266,6 +274,28 @@ def test_leading_independent_prefix_is_the_profile_s(monkeypatch):
                 if k < a.n:
                     walk.advance(a)
             assert tuple(got) == compute_profile(a).s, t
+
+
+def test_walk_reads_in_any_order_match_the_per_pair_route():
+    # each state is carried lazily, so reading the pairs of a slot in any order,
+    # past the first False too, must give the floats of a fresh walk from rho
+    rng = np.random.default_rng(16)
+    for t in range(40):
+        for a in _leading_variants(generate(pool_spec(t))):
+            walk = _PrefixWalk(a)
+            for i in range(1, a.n + 1):
+                for l in rng.permutation(i + 1).tolist():
+                    if l == i:
+                        assert walk.marginal(a, DEFAULT_TOL) == pr_test_marginal(a, (i,)), t
+                        continue
+                    try:
+                        expected = _test_cond(a, tuple(range(1, l + 1)), (i,), a._miss, DEFAULT_TOL)
+                    except ConditionOnZeroError:
+                        expected = None
+                    assert walk.conditional(a, l, DEFAULT_TOL) == expected, (t, i, l)
+                walk.advance(a)
+            every = tuple(range(1, a.n + 1))
+            assert walk.avoided(DEFAULT_TOL) == pr_test_marginal(complemented(a, every), every), t
 
 
 # Construction bits: SHA-256 digests of every generator kind's instances,

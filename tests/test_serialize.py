@@ -72,6 +72,15 @@ def test_nameless_measurements_read_as_their_position():
     assert [m.name for m in test.measurements] == ["M1", "M2"]
 
 
+@pytest.mark.parametrize("name", [None, [1, 2], 3], ids=["null", "list", "number"])
+def test_non_string_measurement_names_are_refused(name):
+    # a present name must be a string; it used to load as str(name), e.g. "None"
+    doc = reference_doc()
+    doc["measurements"][1]["name"] = name
+    with pytest.raises(ParseError, match="measurement 2 name must be a string"):
+        loads(json.dumps(doc))
+
+
 def test_test_only_documents():
     doc = reference_doc()
     del doc["events"]

@@ -55,6 +55,21 @@ def test_only_the_probability_layer_builds_channels():
     assert found == []
 
 
+def test_lll_walks_no_channels():
+    # the check reads its marginals, lemma column and all-avoided probability
+    # from independence._PrefixWalk; only independence.py and probability.py
+    # walk channel tables, so a second forward walk cannot come back unnoticed
+    walking = {"_hit", "_miss", "_complete", "_padded", "_cond", "_walk", "trace"}
+    tree = ast.parse((SRC / "lll.py").read_text(encoding="utf-8"), filename="lll.py")
+    names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = [
+        f"lll.py:{node.lineno} {getattr(node, names[type(node)])}"
+        for node in ast.walk(tree)
+        if type(node) in names and getattr(node, names[type(node)]) in walking
+    ]
+    assert found == []
+
+
 def test_sampler_step_has_no_short_axis_reductions():
     # np.cumsum or argmax along the 2-5-wide outcome axis cost the sampler half
     # its throughput; the step walks the outcome columns one at a time instead
