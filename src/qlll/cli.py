@@ -1,10 +1,12 @@
 """Command line interface.
 
 Verbs: prob, cond, indep, profile, check, sample, paper-examples, gen.
-Each verb returns its JSON document and exit code, and ``main`` prints the
-document on stdout (compact by default, ``--pretty`` to indent); ``gen
---out`` writes the instance file instead.  A flag that the chosen mode,
-variant or generator kind does not read is a validation error.
+Each verb returns its JSON document and exit code; a verb with
+``--instance`` is handed the file's ``(test, assignment, x)``.  ``main``
+prints the document (compact by default, ``--pretty`` to indent); ``gen
+--out`` writes what ``gen`` would print, plus a newline, and prints nothing.
+A flag that the chosen mode, variant or generator kind does not read is a
+validation error.
 Exit codes: 0 success / bounds hold; 1 conditioning on a zero-probability
 sequence or a failed hypothesis; 2 parse, validation or internal errors.
 """
@@ -29,7 +31,6 @@ from .linalg import DEFAULT_TOL
 from .lll import LLLInstance, check_general, check_symmetric
 from .oracle import enumerate_probability, sample_trajectories
 from .probability import pr_state, pr_state_cond, pr_test_cond, pr_test_marginal
-from .serialize import dumps as dump_instance
 from .serialize import instance_to_dict, load_path
 
 EXIT_OK = 0
@@ -60,11 +61,6 @@ def _need_events(assignment, what: str):
     return assignment
 
 
-def _assignment(args, what: str):
-    """The instance file's assignment, for a verb that reads nothing else of it."""
-    return _need_events(load_path(args.instance)[1], what)
-
-
 def _state_events(test, text: str):
     return [resolve_event_spec(test.measurements, i, spec) for i, spec in parse_event_seq(text)]
 
@@ -79,8 +75,7 @@ def _unread(value, flag: str, context: str) -> None:
         raise ValidationError(f"{flag} is not read by {context}")
 
 
-def cmd_prob(args) -> tuple[dict, int]:
-    test, assignment, _ = load_path(args.instance)
+def cmd_prob(args, test, assignment, _x) -> tuple[dict, int]:
     if args.mode == "state":
         _unread(args.K, "--K", "prob --mode state")
         if args.seq is None:
@@ -99,8 +94,7 @@ def cmd_prob(args) -> tuple[dict, int]:
     return {"command": "prob", "mode": args.mode, "query": query, "value": value}, EXIT_OK
 
 
-def cmd_cond(args) -> tuple[dict, int]:
-    test, assignment, _ = load_path(args.instance)
+def cmd_cond(args, test, assignment, _x) -> tuple[dict, int]:
     if args.K is None or args.L is None:
         raise ValidationError("cond needs --K (conditioning) and --L (target)")
     if args.mode == "state":
@@ -116,8 +110,8 @@ def cmd_cond(args) -> tuple[dict, int]:
     return {"command": "cond", "mode": args.mode, "query": query, "value": value}, EXIT_OK
 
 
-def cmd_indep(args) -> tuple[dict, int]:
-    a = _assignment(args, "indep")
+def cmd_indep(args, _test, assignment, _x) -> tuple[dict, int]:
+    a = _need_events(assignment, "indep")
     if args.neg:
         _unread(args.J, "--J", "indep --neg")
     K = _indices(args.K)
@@ -137,8 +131,8 @@ def cmd_indep(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_profile(args) -> tuple[dict, int]:
-    a = _assignment(args, "profile")
+def cmd_profile(args, _test, assignment, _x) -> tuple[dict, int]:
+    a = _need_events(assignment, "profile")
     profile = compute_profile(a)
     doc = {"command": "profile", **profile.to_json()}
     entries = list(profile.table.values())
@@ -147,8 +141,7 @@ def cmd_profile(args) -> tuple[dict, int]:
     return doc, EXIT_OK
 
 
-def cmd_check(args) -> tuple[dict, int]:
-    _, assignment, x_file = load_path(args.instance)
+def cmd_check(args, _test, assignment, x_file) -> tuple[dict, int]:
     a = _need_events(assignment, "check")
     if args.variant == "general":
         _unread(args.p, "--p", "check --variant general")
@@ -170,8 +163,8 @@ def cmd_check(args) -> tuple[dict, int]:
     return doc, EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
-def cmd_sample(args) -> tuple[dict, int]:
-    a = _assignment(args, "sample")
+def cmd_sample(args, _test, assignment, _x) -> tuple[dict, int]:
+    a = _need_events(assignment, "sample")
     K = _indices(args.K) if args.K is not None else a.assigned()
     est = sample_trajectories(a, K, args.n, args.seed)
     exact = None
@@ -199,8 +192,8 @@ def cmd_paper_examples(args) -> tuple[dict, int]:
     return doc, EXIT_OK if doc["all_pass"] else EXIT_ERROR
 
 
-def cmd_gen(args) -> tuple[dict | None, int]:
-    """Return the instance document, or write it to ``--out`` and return None.
+def cmd_gen(args) -> tuple[dict, int]:
+    """Return the instance document; ``main`` prints it or writes it to ``--out``.
 
     Only the flags given reach ``GeneratorSpec``, which holds the defaults;
     a flag that the kind does not read is an error.
@@ -219,14 +212,7 @@ def cmd_gen(args) -> tuple[dict | None, int]:
     a = generate(GeneratorSpec(kind=args.kind, **given))
     # validated as a check would take them: one weight per slot, each in (0, 1]
     x = LLLInstance(a, _weights(args.x)).x if args.x is not None else None
-    if not args.out:
-        return instance_to_dict(a, x), EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_instance(a, x=x, pretty=args.pretty) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write instance file {args.out!r}: {exc}")
-    return None, EXIT_OK
+    return instance_to_dict(a, x), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("--instance", required=True, help="path to an instance JSON file")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
-        p.set_defaults(func=func)
+        # the CLI's one reader: loading is the first thing an instance verb can fail on
+        p.set_defaults(func=(lambda args: func(args, *load_path(args.instance))) if instance else func)
         return p
 
     p = verb("prob", cmd_prob, "sequence or marginal probability")
@@ -291,22 +278,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(doc: dict, pretty: bool, path: str | None = None) -> None:
+    """Print *doc* as JSON, or write it plus a newline to *path*: the CLI's one writer."""
+    text = json.dumps(doc, indent=2) if pretty else json.dumps(doc, separators=(",", ":"))
+    if path is None:
+        print(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write instance file {path!r}: {exc}")
+
+
 def main(argv=None) -> int:
-    """Run one verb and print its JSON document, or the error document."""
+    """Run one verb and emit its JSON document, or print the error document."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         doc, code = args.func(args)
-    except ConditionOnZeroError as exc:
-        doc, code = {"error": exc.to_json()}, EXIT_HYPOTHESIS
+        _emit(doc, args.pretty, getattr(args, "out", None))
+        return code
     except QlllError as exc:
-        doc, code = {"error": exc.to_json()}, EXIT_ERROR
-    if doc is not None:
-        if args.pretty:
-            print(json.dumps(doc, indent=2))
-        else:
-            print(json.dumps(doc, separators=(",", ":")))
-    return code
+        _emit({"error": exc.to_json()}, args.pretty)
+        return EXIT_HYPOTHESIS if isinstance(exc, ConditionOnZeroError) else EXIT_ERROR
 
 
 def main_entry() -> None:

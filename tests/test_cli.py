@@ -260,18 +260,21 @@ def test_paper_examples_failure_exits_2(capsys, monkeypatch):
 
 
 def test_gen_stdout_and_file(capsys, tmp_path):
-    code, doc = run(capsys, "gen", "--kind", "random-povm", "--n", "2",
-                    "--local-dim", "3", "--seed", "4", "--x", "0.5,0.5")
+    argv = ["gen", "--kind", "random-povm", "--n", "2", "--local-dim", "3", "--seed", "4", "--x", "0.5,0.5"]
+    code, doc = run(capsys, *argv)
     assert code == 0
     assert doc["x"] == [0.5, 0.5]
     jsonschema.validate(doc, INSTANCE_SCHEMA)
 
-    out = tmp_path / "gen.json"
-    code = cli.main(["gen", "--kind", "random-povm", "--n", "2", "--local-dim", "3",
-                     "--seed", "4", "--x", "0.5,0.5", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert json.loads(out.read_text()) == doc
+    # --out writes the very bytes gen prints, compact or indented, and prints nothing
+    for style in ([], ["--pretty"]):
+        assert cli.main(argv + style) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / f"gen{len(style)}.json"
+        assert cli.main(argv + style + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert json.loads(printed) == doc
 
 
 def test_gen_non_numeric_weights_exit_2(capsys):
@@ -289,6 +292,15 @@ def test_gen_empty_weights_exit_2(capsys, tmp_path):
     assert code == 2
     assert doc["error"]["type"] == "Parse"
     assert not out.exists()
+
+
+def test_gen_empty_out_exits_2(capsys):
+    # an empty --out used to print the instance and exit 0
+    code, doc = run(capsys, "gen", "--kind", "paper-examples", "--out", "")
+    assert code == 2
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["message"].startswith("cannot write instance file ''")
 
 
 @pytest.mark.parametrize("weights,message", [

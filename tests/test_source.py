@@ -90,6 +90,33 @@ def test_assumption_search_runs_no_whole_check():
     assert found == []
 
 
+def test_cli_main_is_the_one_reader_and_writer():
+    # every verb returns its document; instance verbs get the result of the one
+    # load_path call, and only _emit prints or opens a file
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"), filename="cli.py")
+    assert [called for _, called in _calls(tree)].count("load_path") == 1
+    emit = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    assert {"print", "open"} <= {called for _, called in _calls(emit)}
+    inside = {id(node) for node in ast.walk(emit)}
+    found = [
+        f"cli.py:{node.lineno} {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in {"print", "open"}
+        and id(node) not in inside
+    ]
+    found += [
+        f"cli.py:{node.lineno} returns (None, ...)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Tuple)
+        and node.value.elts
+        and isinstance(node.value.elts[0], ast.Constant)
+        and node.value.elts[0].value is None
+    ]
+    assert found == []
+
+
 def test_library_imports_are_used():
     # __init__.py imports only to re-export, so it is left out
     files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
