@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -219,6 +220,14 @@ class SuperOperator:
         for k in self.kraus:
             out += k @ sigma @ k.conj().T
         return out
+
+    @cached_property
+    def _effect(self) -> np.ndarray:  # the POVM element E = sum K^dagger K, built when first read
+        return sum((k.conj().T @ k for k in self.kraus), np.zeros((self.dim, self.dim), dtype=np.complex128))
+
+    def trace_of(self, sigma: np.ndarray) -> float:
+        """``tr(self(sigma)) = tr(E sigma)``, read without applying the channel (E is Hermitian: vdot)."""
+        return float(np.vdot(self._effect, sigma).real)
 
 
 def super_operator_of(event: Event) -> SuperOperator:

@@ -92,26 +92,29 @@ def is_neg_independent(
 class _PrefixWalk:
     """The forward walk of a test: slots 1, 2, ... settled in order, each prefix state walked once.
 
-    ``states[l]`` is ``[w, raw, j]``: sigma_l is rho through the miss channels of
-    slots 1..l (sigma_0 = rho), ``raw = tr(sigma_l).real``, and ``w`` is sigma_l
-    carried on through the complete channels of slots l+1..j.  Slot i's marginal
-    reads sigma_0 and its pair (i, l) reads sigma_l, each carried to slot i only
-    when read, so a candidate event at slot i applies only its hit channel.
+    ``states[l]`` is ``[w, raw, j]``: sigma_l is rho through the miss channels of slots
+    1..l (sigma_0 = rho), ``raw = tr(sigma_l)`` read as miss_l's effect, and ``w`` is
+    sigma_l carried on through the complete channels of slots l+1..j.  Pair (i, l)
+    reads sigma_l carried to slot i only when read, slot i's marginal the assignment's
+    tau_{i-1}; each reads hit_i's effect, so a candidate at slot i applies no channel.
     """
 
     def __init__(self, a: TestEventAssignment):
-        rho = a.test.rho.matrix
+        rho = a._tau_at(0)
         self.states = [[rho, trace(rho).real, 0]]
 
     def _hit_trace(self, a: TestEventAssignment, l: int, tol: ToleranceConfig) -> float:
         """Clamped ``tr(hit_i(sigma_l))`` at the first unsettled slot i, sigma_l carried to slot i."""
         i = len(self.states)
         a.event(i)  # an unassigned slot raises MissingAssignmentError
-        w, raw, j = self.states[l]
-        for complete in a._complete[j:i - 1]:
-            w = complete(w)
-        self.states[l] = [w, raw, i - 1]
-        return _clamp_probability(trace(a._hit[i](w)).real, tol)
+        if l == 0:
+            w = a._tau_at(i - 1)
+        else:
+            w, raw, j = self.states[l]
+            for complete in a._complete[j:i - 1]:
+                w = complete(w)
+            self.states[l] = [w, raw, i - 1]
+        return _clamp_probability(a._hit[i].trace_of(w), tol)
 
     def marginal(self, a: TestEventAssignment, tol: ToleranceConfig) -> float:
         """Pr[E_i] of the first unsettled slot i."""
@@ -138,8 +141,8 @@ class _PrefixWalk:
     def advance(self, a: TestEventAssignment) -> None:
         """Settle the first unsettled slot i with its event in *a*: sigma_i = miss_i(sigma_{i-1})."""
         i = len(self.states)
-        sigma = a._miss[i](self.states[-1][0])
-        self.states.append([sigma, trace(sigma).real, i])
+        sigma, miss = self.states[-1][0], a._miss[i]
+        self.states.append([miss(sigma), miss.trace_of(sigma), i])
 
     def avoided(self, tol: ToleranceConfig) -> float:
         """Pr[none of the settled slots' events occurs]."""

@@ -1,12 +1,14 @@
 """Probabilities of ordered event sequences, in a bare state and in a test.
 
 A sequence probability composes the events' super-operators in the given
-order (first listed is performed first) and takes the trace.  A test fixes
-one measurement per time slot; probabilities "in a test" reference events by
+order (first listed is performed first) and takes the trace, reading the
+last channel as an effect (``SuperOperator.trace_of``).  A test fixes one
+measurement per time slot; probabilities "in a test" reference events by
 slot and pad unmentioned slots with the complete event of that slot's
 measurement, which is what makes marginals and conditionals well defined
 here.  Order matters everywhere: conditioning sets must lie strictly before
-the events they condition.
+the events they condition.  Equal routes apply the same channels and read
+the same effect, so they give equal floats.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
 
 
 def _channels(rho: DensityOperator, seq: Sequence[Event]):
-    """Each event's channel, its dimension checked against *rho* when the walk reaches it."""
+    """Each event's channel, once its dimension is checked against *rho*."""
     for e in seq:
         if e.measurement.dim != rho.dim:
             raise DimensionMismatchError(
@@ -68,25 +70,34 @@ def _walk(sigma, channels: Iterable[SuperOperator]):
     return sigma
 
 
+def _read(sigma, channels: Sequence[SuperOperator]) -> float:
+    """``tr`` of *sigma* through *channels*: all but the last applied, the last read as an effect."""
+    if not channels:
+        return trace(sigma).real
+    return channels[-1].trace_of(_walk(sigma, channels[:-1]))
+
+
 def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Probability that the events in *seq* occur in order, starting from *rho*.
 
     The first event in *seq* is performed first.  An empty sequence has
     probability ``trace(rho)``, which is one up to rounding.
     """
-    return _clamp_probability(trace(_walk(rho.matrix, _channels(rho, seq))).real, tol)
+    return _clamp_probability(_read(rho.matrix, list(_channels(rho, seq))), tol)
 
 
 def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, **detail) -> float:
-    # One walk: the state after the *given* channels yields the denominator
-    # and is then carried on through the *then* channels for the numerator.
-    sigma = _walk(sigma, given)
-    denom = _clamp_probability(trace(sigma).real, tol)
+    # One walk: the last *given* channel is read for the denominator, then applied,
+    # and the state walks on through *then* for the numerator (the denominator if none).
+    given = list(given)
+    sigma = _walk(sigma, given[:-1])
+    denom = _clamp_probability(_read(sigma, given[-1:]), tol)
     if denom <= tol.prob:
         raise ConditionOnZeroError(
             f"{subject} probability {denom!r} <= {tol.prob!r}", denominator=denom, **detail
         )
-    num = _clamp_probability(trace(_walk(sigma, then)).real, tol)
+    then = list(then)
+    num = _clamp_probability(_read(_walk(sigma, given[-1:]), then), tol) if then else denom
     return _ratio(num, denom, tol)
 
 
@@ -98,8 +109,8 @@ def pr_state_cond(
 ) -> float:
     """Probability of *then* happening after *given*, conditioned on *given*.
 
-    The state is walked once: the denominator is read after the *given*
-    channels, and the same state continues through *then* for the numerator.
+    The state is walked once: the denominator is read at the last *given*
+    channel, and the same state continues through *then* for the numerator.
 
     Raises
     ------
@@ -151,6 +162,10 @@ class TestEventAssignment:
 
     Each assigned event must be defined by the measurement sitting at its
     slot.  ``events`` is read-only so that the channel table cannot go stale.
+    ``_tau[j]``, rho through the complete channels of slots 1..j, holds no event: each
+    is walked once, when first read, into a list every ``with_event`` copy shares (up to
+    n d^2 complex entries, like one ``_PrefixWalk``).  Each walk starts at the ``tau``
+    before its first unpadded slot and reads its last channel as an effect.
     """
 
     __test__ = False
@@ -164,6 +179,16 @@ class TestEventAssignment:
         self._complete = tuple(super_operator_of(complete_event(m)) for m in self.test.measurements)
         self._hit = {i: super_operator_of(e) for i, e in self.events.items()}
         self._miss = {i: super_operator_of(complement(e)) for i, e in self.events.items()}
+        self._tau = [test.rho.matrix] + [None] * (self.n - 1)
+
+    def _tau_at(self, j: int):
+        """``tau_j``, walked on from the last one built; a rebuild (another thread's) writes equal bits."""
+        tau, k = self._tau, j
+        while tau[k] is None:
+            k -= 1
+        for k in range(k, j):
+            tau[k + 1] = self._complete[k](tau[k])
+        return tau[j]
 
     def _slot(self, i: int, e: Event) -> int:
         """Slot *i* as an int, once *e* is known to be an event of the measurement there."""
@@ -220,10 +245,11 @@ def _padded(a: TestEventAssignment, K: tuple[int, ...], table: Mapping, start: i
 
 def _test_cond(a: TestEventAssignment, K, L, table: Mapping, tol: ToleranceConfig) -> float:
     """Pr[events at *L* | *table*'s channels at *K*]: ``a._miss`` conditions on the complements."""
-    given = _padded(a, K, table)
-    then = _padded(a, L, a._hit, start=len(given))
+    start = K[0] - 1 if K else 0  # an empty K divides by tr(tau_0) = tr(rho)
+    given = _padded(a, K, table, start)
+    then = _padded(a, L, a._hit, start + len(given))
     subject = f"conditioning events at slots {list(K)} have"
-    return _cond(a.test.rho.matrix, given, then, tol, subject, K=list(K))
+    return _cond(a._tau_at(start), given, then, tol, subject, K=list(K))
 
 
 def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -234,7 +260,8 @@ def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceCon
     just not inspected.  ``K = ()`` gives ``tr(rho)``, one up to rounding.
     """
     K = check_index_set(K, a.n)
-    return _clamp_probability(trace(_walk(a.test.rho.matrix, _padded(a, K, a._hit))).real, tol)
+    start = K[0] - 1 if K else 0
+    return _clamp_probability(_read(a._tau_at(start), _padded(a, K, a._hit, start)), tol)
 
 
 def pr_test_cond(
@@ -247,8 +274,8 @@ def pr_test_cond(
 
     Requires ``max(K) < min(L)``; an empty *K* has denominator ``tr(rho)``,
     one up to rounding.  The padded sequence of ``K + L`` is walked once:
-    its first ``max(K)`` slots give the conditioning marginal (the
-    denominator) partway through, and the walk continues to the numerator.
+    slot ``max(K)`` gives the conditioning marginal (the denominator)
+    partway through, and the walk continues to the numerator.
 
     Raises
     ------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qlll.events import complement
+from qlll.events import SuperOperator, complement
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 
 POOL_SIZE = 200
@@ -75,6 +75,20 @@ def split_indices(rng, indices, pieces: int):
         out.append(indices[prev:c])
         prev = c
     return out
+
+
+def count_channel_work(monkeypatch) -> list[str]:
+    """Names of the channel applications (``__call__``) and effect reads (``trace_of``) made from now on."""
+    calls = []
+    for name in ("__call__", "trace_of"):
+        original = getattr(SuperOperator, name)
+
+        def counting(self, sigma, name=name, original=original):
+            calls.append(name)
+            return original(self, sigma)
+
+        monkeypatch.setattr(SuperOperator, name, counting)
+    return calls
 
 
 def complemented(a, slots):

@@ -8,9 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from helpers import count_channel_work
 from test_lll import two_qubit_instance
 from qlll import cli
-from qlll.events import SuperOperator
 from qlll.generate import Check, GeneratorKind, GeneratorSpec, WorkedExample, generate
 from qlll.schemas import (
     COMMAND_SCHEMAS,
@@ -395,18 +395,12 @@ def test_module_entry_point():
 
 
 def test_indep_neg_evaluates_each_probability_once(capsys, ref_file, monkeypatch):
-    # one conditional walk (2 channels) and one marginal walk (2 channels)
-    calls = []
-    original = SuperOperator.__call__
-
-    def counting(self, sigma):
-        calls.append(1)
-        return original(self, sigma)
-
-    monkeypatch.setattr(SuperOperator, "__call__", counting)
+    # the conditional reads miss_1 (denominator), applies it and reads hit_2;
+    # the marginal applies complete_1 (tau_1) and reads hit_2
+    calls = count_channel_work(monkeypatch)
     code, doc = run(capsys, "indep", "--instance", ref_file, "--neg", "--i", "2", "--K", "1")
     assert code == 0
-    assert len(calls) == 4
+    assert (calls.count("__call__"), calls.count("trace_of")) == (2, 3)
 
 
 def test_indep_neg_rejects_condition_after_target(capsys, ref_file):

@@ -1,7 +1,8 @@
 """Heisenberg-picture referee for the test-relative probabilities.
 
 The library's channel-table routes push states forward through
-``SuperOperator.__call__``.  This module pulls each effect back instead,
+``SuperOperator.__call__`` and read only the last event's effect there
+(``SuperOperator.trace_of``).  This module pulls each effect back instead,
 through the adjoint channels ``C^dagger(F) = sum_m K_m^dagger F K_m``
 (Nielsen & Chuang, section 8.2; Watrous, *The Theory of Quantum
 Information*, section 2.2), with every Kraus operator read straight from

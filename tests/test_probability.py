@@ -12,7 +12,7 @@ from qlll.errors import (
     MissingAssignmentError,
     ValidationError,
 )
-from qlll.events import Event, SuperOperator, complement, complete_event, empty_event
+from qlll.events import Event, complement, complete_event, empty_event
 from qlll.generate import (
     computational_measurement,
     ginibre_state,
@@ -321,24 +321,53 @@ def test_state_cond_matches_two_walk_definition(pool40):
     assert seen == {"zero", "value"}
 
 
-def test_test_cond_applies_max_L_channels(pool40, monkeypatch):
-    calls = []
-    original = SuperOperator.__call__
-
-    def counting(self, sigma):
-        calls.append(1)
-        return original(self, sigma)
-
-    monkeypatch.setattr(SuperOperator, "__call__", counting)
+def test_test_cond_walks_max_L_channels(pool40, monkeypatch):
+    # a walk through slots 1..m applies m - 1 channels and reads the last one as
+    # an effect: m = max(L), or max(K) when the condition has probability zero.
+    # A nonempty K reads its denominator; an empty one takes tr(rho).  Each
+    # query runs on a fresh assignment, so no tau walked earlier is reused.
+    calls = helpers.count_channel_work(monkeypatch)
     for a in (v for a0 in pool40 for v in _variants(a0)):
         for K, L in _ordered_pairs(a.n):
+            fresh = TestEventAssignment(a.test, a.events)
             calls.clear()
             try:
-                pr_test_cond(a, K, L)
+                pr_test_cond(fresh, K, L)
             except ConditionOnZeroError:
-                assert len(calls) == (K[-1] if K else 0)
+                assert (calls.count("__call__"), calls.count("trace_of")) == (K[-1] - 1, 1)
                 continue
-            assert len(calls) == L[-1]
+            assert (calls.count("__call__"), calls.count("trace_of")) == (L[-1] - 1, 1 + bool(K))
+
+
+def _fresh_answers_match(a):
+    """Every marginal and conditional of *a* equals the same query on a fresh assignment."""
+    seen = set()
+    for K in _subsets(range(1, a.n + 1)):
+        seen.add(_same_outcome(
+            lambda: pr_test_marginal(a, K), lambda: pr_test_marginal(TestEventAssignment(a.test, a.events), K)
+        ))
+    for K, L in _ordered_pairs(a.n):
+        seen.add(_same_outcome(
+            lambda: pr_test_cond(a, K, L), lambda: pr_test_cond(TestEventAssignment(a.test, a.events), K, L)
+        ))
+    return seen
+
+
+def test_warm_tau_answers_equal_a_fresh_assignments(pool40):
+    # tau holds rho through complete channels only: walked to the last slot
+    # before any query, and shared with every with_event copy, it must give
+    # the floats of a fresh assignment that walks it from rho per query
+    seen = set()
+    for a0 in pool40:
+        for a in _variants(a0):
+            a._tau_at(a.n - 1)
+            assert all(tau is not None for tau in a._tau)
+            seen |= _fresh_answers_match(a)
+            for i in a.assigned():
+                b = a.with_event(i, complement(a.event(i)))
+                assert b._tau is a._tau
+                seen |= _fresh_answers_match(b)
+    assert seen == {"zero", "value"}
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,46 @@ def test_assumption_search_runs_no_whole_check():
     assert found == []
 
 
+def _functions(tree: ast.Module):
+    """``(qualified name, node)`` of every top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def test_walks_start_at_tau_and_read_their_last_channel():
+    # every probability reads its last channel as an effect (trace_of), so
+    # trace() only ever sees a state already walked; test-relative walks start
+    # at the assignment's tau, so rho.matrix is read where tau starts and by
+    # the bare-state roots, which have no test
+    found, readers = [], set()
+    for name in ("probability.py", "independence.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        found += [
+            f"{name}:{node.lineno} trace({ast.unparse(arg)})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "trace"
+            for arg in node.args
+            if not isinstance(arg, ast.Name)
+        ]
+        readers |= {
+            f"{name}:{qualname}"
+            for qualname, func in _functions(tree)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "matrix"
+            and "rho" in {getattr(node.value, "id", None), getattr(node.value, "attr", None)}
+        }
+    assert found == []
+    assert readers == {
+        "probability.py:TestEventAssignment.__init__",
+        "probability.py:pr_state",
+        "probability.py:pr_state_cond",
+    }
+
+
 def test_cli_main_is_the_one_reader_and_writer():
     # every verb returns its document; instance verbs get the result of the one
     # load_path call, and only _emit prints or opens a file
