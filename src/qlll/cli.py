@@ -8,7 +8,9 @@ prints the document (compact by default, ``--pretty`` to indent); ``gen
 A flag that the chosen mode, variant or generator kind does not read is a
 validation error.
 Exit codes: 0 success / bounds hold; 1 conditioning on a zero-probability
-sequence or a failed hypothesis; 2 parse, validation or internal errors.
+sequence or a failed hypothesis; 2 argument, parse, validation or internal
+errors.  A bad command line is a ``Parse`` error document like any other;
+only ``--help`` prints text.
 """
 
 from __future__ import annotations
@@ -215,8 +217,15 @@ def cmd_gen(args) -> tuple[dict, int]:
     return instance_to_dict(a, x), EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ParseError`` instead of exiting."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlll",
         description=(
             "Probabilities of ordered quantum measurement sequences, "
@@ -293,14 +302,15 @@ def _emit(doc: dict, pretty: bool, path: str | None = None) -> None:
 
 def main(argv=None) -> int:
     """Run one verb and emit its JSON document, or print the error document."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    pretty = False  # a command line that does not parse gets a compact error document
     try:
+        args = build_parser().parse_args(argv)
+        pretty = args.pretty
         doc, code = args.func(args)
-        _emit(doc, args.pretty, getattr(args, "out", None))
+        _emit(doc, pretty, getattr(args, "out", None))
         return code
     except QlllError as exc:
-        _emit({"error": exc.to_json()}, args.pretty)
+        _emit({"error": exc.to_json()}, pretty)
         return EXIT_HYPOTHESIS if isinstance(exc, ConditionOnZeroError) else EXIT_ERROR
 
 

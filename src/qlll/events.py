@@ -100,7 +100,7 @@ class Measurement:
         self._kraus = MappingProxyType(dict(zip(labels, ops)))
         self._tol = tol
 
-    # read-only: every channel table is built from these once, after the checks above
+    # read-only: every channel is built from these, after the checks above
     @property
     def name(self) -> str:
         return self._name
@@ -181,6 +181,14 @@ class Event:
     def sorted_outcomes(self) -> list[str]:
         order = {m: i for i, m in enumerate(self.measurement.spectrum)}
         return sorted(self.outcomes, key=order.__getitem__)
+
+    @cached_property
+    def _hit(self) -> SuperOperator:  # built when first read, shared by all that hold the event
+        return super_operator_of(self)
+
+    @cached_property
+    def _miss(self) -> SuperOperator:  # the complement's channel
+        return super_operator_of(complement(self))
 
     def __repr__(self) -> str:
         return f"Event({self.measurement.name} in {self.sorted_outcomes()})"

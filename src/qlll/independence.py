@@ -18,6 +18,7 @@ from .probability import (
     TestEventAssignment,
     _clamp_probability,
     _ratio,
+    _slot_index,
     _test_cond,
     check_index_set,
     pr_test_cond,
@@ -25,14 +26,13 @@ from .probability import (
 )
 
 
-def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[int, ...]:
-    """Check that *K* is an index set lying strictly before the target slot *i*."""
+def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Target slot *i* and index set *K*, once *K* is known to lie strictly before *i*."""
     K = check_index_set(K, a.n)
-    if not (1 <= i <= a.n):
-        raise ValidationError(f"target index {i} outside 1..{a.n}")
+    i = _slot_index(i, a.n, "target index")
     if K and K[-1] >= i:
         raise ValidationError(f"conditioning slots {list(K)} must lie strictly before target {i}")
-    return K
+    return i, K
 
 
 def _decide(lhs: float, rhs: float, tol: ToleranceConfig) -> tuple[float, bool]:
@@ -44,7 +44,7 @@ def _difference(
     a: TestEventAssignment, i: int, K: Iterable[int], J: Iterable[int] | None, tol: ToleranceConfig
 ) -> tuple[float, bool]:
     """``|Pr[E_i | E_K] - Pr[E_i | E_{K-J}]|`` and whether it is within ``tol.ind``."""
-    K = _before_target(a, i, K)
+    i, K = _before_target(a, i, K)
     J = K if J is None else check_index_set(J, a.n)
     if not set(J) <= set(K):
         raise ValidationError(f"J {list(J)} must be a subset of K {list(K)}")
@@ -56,8 +56,8 @@ def _neg_difference(
     a: TestEventAssignment, i: int, K: Iterable[int], tol: ToleranceConfig
 ) -> tuple[float, bool]:
     """``|Pr[E_i | not-E_K] - Pr[E_i]|`` and whether it is within ``tol.ind``."""
-    K = _before_target(a, i, K)
-    conditional = _test_cond(a, K, (i,), a._miss, tol)
+    i, K = _before_target(a, i, K)
+    conditional = _test_cond(a, K, (i,), True, tol)
     return _decide(conditional, pr_test_marginal(a, (i,), tol), tol)
 
 
@@ -94,27 +94,28 @@ class _PrefixWalk:
 
     ``states[l]`` is ``[w, raw, j]``: sigma_l is rho through the miss channels of slots
     1..l (sigma_0 = rho), ``raw = tr(sigma_l)`` read as miss_l's effect, and ``w`` is
-    sigma_l carried on through the complete channels of slots l+1..j.  Pair (i, l)
-    reads sigma_l carried to slot i only when read, slot i's marginal the assignment's
-    tau_{i-1}; each reads hit_i's effect, so a candidate at slot i applies no channel.
+    sigma_l carried on through the test's complete channels of slots l+1..j.  Pair
+    (i, l) reads sigma_l carried to slot i only when read, slot i's marginal the test's
+    tau_{i-1}; each reads the effect of event i's hit channel, so a candidate at slot i
+    applies no channel.  The miss channels are the settled events' own.
     """
 
     def __init__(self, a: TestEventAssignment):
-        rho = a._tau_at(0)
+        rho = a.test._tau[0]
         self.states = [[rho, trace(rho).real, 0]]
 
     def _hit_trace(self, a: TestEventAssignment, l: int, tol: ToleranceConfig) -> float:
         """Clamped ``tr(hit_i(sigma_l))`` at the first unsettled slot i, sigma_l carried to slot i."""
         i = len(self.states)
-        a.event(i)  # an unassigned slot raises MissingAssignmentError
+        hit = a.event(i)._hit  # an unassigned slot raises MissingAssignmentError
         if l == 0:
-            w = a._tau_at(i - 1)
+            w = a.test._tau[i - 1]
         else:
             w, raw, j = self.states[l]
-            for complete in a._complete[j:i - 1]:
+            for complete in a.test._complete[j:i - 1]:
                 w = complete(w)
             self.states[l] = [w, raw, i - 1]
-        return _clamp_probability(a._hit[i].trace_of(w), tol)
+        return _clamp_probability(hit.trace_of(w), tol)
 
     def marginal(self, a: TestEventAssignment, tol: ToleranceConfig) -> float:
         """Pr[E_i] of the first unsettled slot i."""
@@ -129,8 +130,8 @@ class _PrefixWalk:
 
     def row(self, a: TestEventAssignment, tol: ToleranceConfig) -> tuple[float, int]:
         """Marginal and ``compute_profile(a, tol).s[i - 1]`` of the first unsettled slot i."""
-        # drops rebuild only slot i's channels (``with_event`` shares the complete
-        # channels and earlier miss channels), so the walked states stay valid
+        # a drop replaces only slot i's event: the test and the settled events, whose
+        # channels walked every state held here, are the same objects, so the states stay valid
         marginal = self.marginal(a, tol)
         for l in range(1, len(self.states)):
             conditional = self.conditional(a, l, tol)
@@ -141,7 +142,7 @@ class _PrefixWalk:
     def advance(self, a: TestEventAssignment) -> None:
         """Settle the first unsettled slot i with its event in *a*: sigma_i = miss_i(sigma_{i-1})."""
         i = len(self.states)
-        sigma, miss = self.states[-1][0], a._miss[i]
+        sigma, miss = self.states[-1][0], a.event(i)._miss
         self.states.append([miss(sigma), miss.trace_of(sigma), i])
 
     def avoided(self, tol: ToleranceConfig) -> float:

@@ -7,14 +7,17 @@ measurement per time slot; probabilities "in a test" reference events by
 slot and pad unmentioned slots with the complete event of that slot's
 measurement, which is what makes marginals and conditionals well defined
 here.  Order matters everywhere: conditioning sets must lie strictly before
-the events they condition.  Equal routes apply the same channels and read
-the same effect, so they give equal floats.
+the events they condition.  Each channel is built once, by what it depends
+on: a test builds its slots' complete channels and ``tau``, an event its hit
+and miss channels.  Equal routes apply the same channels and read the same
+effect, so they give equal floats.
 """
 
 from __future__ import annotations
 
-import copy
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +29,7 @@ from .errors import (
     MissingAssignmentError,
     ValidationError,
 )
-from .events import Event, Measurement, SuperOperator, complement, complete_event, super_operator_of
+from .events import Event, Measurement, SuperOperator, complete_event, super_operator_of
 from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, trace
 
 
@@ -60,7 +63,7 @@ def _channels(rho: DensityOperator, seq: Sequence[Event]):
                 f"event on measurement {e.measurement.name!r} has dimension "
                 f"{e.measurement.dim}, state has {rho.dim}"
             )
-        yield super_operator_of(e)
+        yield e._hit
 
 
 def _walk(sigma, channels: Iterable[SuperOperator]):
@@ -123,7 +126,12 @@ def pr_state_cond(
 
 @dataclass(frozen=True)
 class Test:
-    """A state plus one measurement per time slot."""
+    """A state plus one measurement per time slot.
+
+    ``_complete`` holds each slot's complete channel and ``_tau[j]`` is rho
+    through those of slots 1..j (j < n); they hold no event, so every walk in
+    the test starts at the ``tau`` before its first unpadded slot.
+    """
 
     __test__ = False  # keep pytest from collecting the library class
 
@@ -140,18 +148,33 @@ class Test:
                     f"measurement {m.name!r} has dimension {m.dim}, "
                     f"test state has {self.rho.dim}"
                 )
+        complete = tuple(super_operator_of(complete_event(m)) for m in self.measurements)
+        object.__setattr__(self, "_complete", complete)
+        tau = accumulate(complete[:-1], lambda w, channel: channel(w), initial=self.rho.matrix)
+        object.__setattr__(self, "_tau", tuple(tau))
 
     @property
     def n(self) -> int:
         return len(self.measurements)
 
 
+def _slot_index(i, n: int, what: str = "index") -> int:
+    """*i* as a slot in 1..*n*: an int or numpy integer, never a bool, float or string."""
+    try:
+        index = operator.index(i)
+    except TypeError:
+        index = None
+    if index is None or isinstance(i, bool):
+        raise ValidationError(f"{what} {i!r} is not an integer")
+    if not (1 <= index <= n):
+        raise ValidationError(f"{what} {index} outside 1..{n}")
+    return index
+
+
 def check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate a strictly increasing tuple of 1-based slot indices."""
-    out = tuple(int(i) for i in indices)
-    for i in out:
-        if not (1 <= i <= n):
-            raise ValidationError(f"index {i} outside 1..{n}")
+    # a plain int in range passes without a call: a profile validates O(n^3) indices
+    out = tuple(i if type(i) is int and 1 <= i <= n else _slot_index(i, n) for i in indices)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValidationError(f"index set {list(out)} must be strictly increasing")
     return out
@@ -161,11 +184,8 @@ class TestEventAssignment:
     """Events assigned to (some) slots of a test.
 
     Each assigned event must be defined by the measurement sitting at its
-    slot.  ``events`` is read-only so that the channel table cannot go stale.
-    ``_tau[j]``, rho through the complete channels of slots 1..j, holds no event: each
-    is walked once, when first read, into a list every ``with_event`` copy shares (up to
-    n d^2 complex entries, like one ``_PrefixWalk``).  Each walk starts at the ``tau``
-    before its first unpadded slot and reads its last channel as an effect.
+    slot.  An assignment is only its ``test`` and its read-only ``events``,
+    which hold every channel its walks read.
     """
 
     __test__ = False
@@ -174,27 +194,10 @@ class TestEventAssignment:
         self.test = test
         checked = {self._slot(i, e): e for i, e in events.items()}
         self.events = MappingProxyType(dict(sorted(checked.items())))
-        # Each test-relative walk applies, per slot, its complete channel or the
-        # hit or miss channel of its event; all share the measurements' arrays.
-        self._complete = tuple(super_operator_of(complete_event(m)) for m in self.test.measurements)
-        self._hit = {i: super_operator_of(e) for i, e in self.events.items()}
-        self._miss = {i: super_operator_of(complement(e)) for i, e in self.events.items()}
-        self._tau = [test.rho.matrix] + [None] * (self.n - 1)
-
-    def _tau_at(self, j: int):
-        """``tau_j``, walked on from the last one built; a rebuild (another thread's) writes equal bits."""
-        tau, k = self._tau, j
-        while tau[k] is None:
-            k -= 1
-        for k in range(k, j):
-            tau[k + 1] = self._complete[k](tau[k])
-        return tau[j]
 
     def _slot(self, i: int, e: Event) -> int:
         """Slot *i* as an int, once *e* is known to be an event of the measurement there."""
-        i = int(i)
-        if not (1 <= i <= self.n):
-            raise ValidationError(f"assignment index {i} outside 1..{self.n}")
+        i = _slot_index(i, self.n, "assignment index")
         if e.measurement != self.test.measurements[i - 1]:
             raise ValidationError(
                 f"event at slot {i} is defined by measurement "
@@ -216,40 +219,33 @@ class TestEventAssignment:
             raise MissingAssignmentError(f"no event assigned at slot {i}") from None
 
     def with_event(self, i: int, event: Event) -> "TestEventAssignment":
-        """A copy with *event* at slot *i*; it shares every other slot's channels with this one."""
-        i = self._slot(i, event)
-        new = copy.copy(self)
-        new.events = MappingProxyType(dict(sorted({**self.events, i: event}.items())))
-        new._hit = {**self._hit, i: super_operator_of(event)}
-        new._miss = {**self._miss, i: super_operator_of(complement(event))}
-        return new
+        """A copy with *event* at slot *i*: the same test and every other event."""
+        # checked first, so that 2.0 or True cannot stand in for a slot already assigned
+        i = _slot_index(i, self.n, "assignment index")
+        return TestEventAssignment(self.test, {**self.events, i: event})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {e!r}" for i, e in self.events.items())
         return f"TestEventAssignment(n={self.n}, {{{body}}})"
 
 
-def _padded(a: TestEventAssignment, K: tuple[int, ...], table: Mapping, start: int = 0) -> list:
-    """Channels of slots ``start + 1 .. max(K)``: ``table[i]`` at *K*, the complete channel elsewhere."""
-    chosen = set(K)
-    seq = []
-    for i in range(start + 1, (K[-1] if K else start) + 1):
-        if i not in chosen:
-            seq.append(a._complete[i - 1])
-        elif i in table:
-            seq.append(table[i])
-        else:
-            raise MissingAssignmentError(f"no event assigned at slot {i}")
+def _padded(a: TestEventAssignment, K: tuple[int, ...], miss: bool, start: int) -> list:
+    """Channels of slots ``start + 1 .. max(K)``, every slot of *K* past *start*: at *K* each
+    event's hit channel (its miss channel if *miss*), the test's complete channel elsewhere."""
+    seq = list(a.test._complete[start:K[-1] if K else start])
+    for i in K:
+        event = a.event(i)
+        seq[i - start - 1] = event._miss if miss else event._hit
     return seq
 
 
-def _test_cond(a: TestEventAssignment, K, L, table: Mapping, tol: ToleranceConfig) -> float:
-    """Pr[events at *L* | *table*'s channels at *K*]: ``a._miss`` conditions on the complements."""
+def _test_cond(a: TestEventAssignment, K, L, miss: bool, tol: ToleranceConfig) -> float:
+    """Pr[events at *L* | events at *K*], or | their complements if *miss*."""
     start = K[0] - 1 if K else 0  # an empty K divides by tr(tau_0) = tr(rho)
-    given = _padded(a, K, table, start)
-    then = _padded(a, L, a._hit, start + len(given))
+    given = _padded(a, K, miss, start)
+    then = _padded(a, L, False, start + len(given))
     subject = f"conditioning events at slots {list(K)} have"
-    return _cond(a._tau_at(start), given, then, tol, subject, K=list(K))
+    return _cond(a.test._tau[start], given, then, tol, subject, K=list(K))
 
 
 def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -261,7 +257,7 @@ def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceCon
     """
     K = check_index_set(K, a.n)
     start = K[0] - 1 if K else 0
-    return _clamp_probability(_read(a._tau_at(start), _padded(a, K, a._hit, start)), tol)
+    return _clamp_probability(_read(a.test._tau[start], _padded(a, K, False, start)), tol)
 
 
 def pr_test_cond(
@@ -292,4 +288,4 @@ def pr_test_cond(
             K=list(K),
             L=list(L),
         )
-    return _test_cond(a, K, L, a._hit, tol)
+    return _test_cond(a, K, L, False, tol)

@@ -590,3 +590,31 @@ def test_cond_on_empty_K_is_the_marginal(capsys, ref_file):
     assert cond["query"] == {"K": [], "L": [2]}
     _, prob = run(capsys, "prob", "--instance", ref_file, "--K", "2")
     assert cond["value"] == pytest.approx(prob["value"], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["indep", "--instance", "FILE", "--pretty", "--i", "abc", "--K", "1"],
+     "qlll indep: argument --i: invalid int value: 'abc'"),
+    (["indep", "--instance", "FILE", "--pretty", "--K", "1"],
+     "qlll indep: the following arguments are required: --i"),
+    (["frob", "--pretty"], "qlll: argument command: invalid choice: 'frob'"),
+    (["prob", "--instance", "FILE", "--K", "1", "--bogus"], "qlll: unrecognized arguments: --bogus"),
+])
+def test_bad_command_lines_print_a_parse_document(capsys, ref_file, argv, message):
+    # argparse used to print usage to stderr and nothing on stdout; the
+    # command line is read before the instance, so --pretty is not known yet
+    code = cli.main([ref_file if arg == "FILE" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.count("\n") == 1  # one compact document
+    doc = json.loads(captured.out)
+    jsonschema.validate(doc, ERROR_SCHEMA)
+    assert doc["error"]["type"] == "Parse"
+    assert doc["error"]["message"].startswith(message)
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prob", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qlll prob")

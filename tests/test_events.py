@@ -110,7 +110,7 @@ def test_measurement_equality_and_hash():
 
 
 def test_kraus_operators_are_read_only():
-    # channel tables are built from the operators and labels once; replacing
+    # channels are built from the operators and labels when first read; replacing
     # them after the completeness check used to split the routes without an
     # error, and the name, dimension and labels are read-only like the operators
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=2, local_dim=2, seed=3))

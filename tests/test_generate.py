@@ -269,7 +269,7 @@ def test_leading_independent_prefix_is_the_profile_s(monkeypatch):
                 got.append(s_k)
                 assert marginal == pr_test_marginal(a, (k,)), t
                 prefixes = (tuple(range(1, l + 1)) for l in range(1, len(decided) + 1))
-                fresh = [_test_cond(a, K, (k,), a._miss, DEFAULT_TOL) for K in prefixes]
+                fresh = [_test_cond(a, K, (k,), True, DEFAULT_TOL) for K in prefixes]
                 assert decided == [(conditional, marginal) for conditional in fresh], t
                 if k < a.n:
                     walk.advance(a)
@@ -289,7 +289,7 @@ def test_walk_reads_in_any_order_match_the_per_pair_route():
                         assert walk.marginal(a, DEFAULT_TOL) == pr_test_marginal(a, (i,)), t
                         continue
                     try:
-                        expected = _test_cond(a, tuple(range(1, l + 1)), (i,), a._miss, DEFAULT_TOL)
+                        expected = _test_cond(a, tuple(range(1, l + 1)), (i,), True, DEFAULT_TOL)
                     except ConditionOnZeroError:
                         expected = None
                     assert walk.conditional(a, l, DEFAULT_TOL) == expected, (t, i, l)

@@ -1,6 +1,6 @@
 """Heisenberg-picture referee for the test-relative probabilities.
 
-The library's channel-table routes push states forward through
+The library's test-relative routes push states forward through
 ``SuperOperator.__call__`` and read only the last event's effect there
 (``SuperOperator.trace_of``).  This module pulls each effect back instead,
 through the adjoint channels ``C^dagger(F) = sum_m K_m^dagger F K_m``
@@ -95,10 +95,10 @@ def test_marginals_and_conditionals_match_the_heisenberg_picture(pool):
                 if denom < tol.prob:
                     assert read is None, (t, k, l)
                     with pytest.raises(ConditionOnZeroError):
-                        _test_cond(a, tuple(range(1, l + 1)), (k,), a._miss, tol)
+                        _test_cond(a, tuple(range(1, l + 1)), (k,), True, tol)
                     continue
                 decided += 1
-                conditional = _test_cond(a, tuple(range(1, l + 1)), (k,), a._miss, tol)
+                conditional = _test_cond(a, tuple(range(1, l + 1)), (k,), True, tol)
                 assert abs(conditional - value) <= AGREE, (t, k, l)
                 assert abs(read - value) <= AGREE, (t, k, l)
                 # the verdict is_neg_independent would give, from the values it reads

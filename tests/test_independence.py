@@ -150,9 +150,12 @@ def test_profile_never_compares_kraus_arrays(monkeypatch):
 
 
 def test_profile_builds_no_channels_or_assignments(monkeypatch):
-    # the assignment builds each slot's channels once; the profile and the
-    # check only walk them, and they walk the measurements' own Kraus arrays
+    # the test builds its complete channels and each event its hit and miss
+    # channels once; the profile and the check only walk them, and they walk
+    # the measurements' own Kraus arrays.  Only the check reads hit_1 and miss_n,
+    # so one check builds every channel before counting starts.
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=8, local_dim=3, seed=7))
+    check_general(LLLInstance(a, (0.5,) * a.n))
     calls = []
     original_of = qlll.events.super_operator_of
     original_init = qlll.probability.TestEventAssignment.__init__
@@ -175,10 +178,10 @@ def test_profile_builds_no_channels_or_assignments(monkeypatch):
 
     for i, m in enumerate(a.test.measurements, start=1):
         own = [m.kraus[label] for label in m.spectrum]
-        assert all(k is o for k, o in zip(a._complete[i - 1].kraus, own))
-        assert len(a._complete[i - 1].kraus) == len(own)
+        assert all(k is o for k, o in zip(a.test._complete[i - 1].kraus, own))
+        assert len(a.test._complete[i - 1].kraus) == len(own)
         hit, miss = a.event(i).outcomes, set(m.spectrum) - a.event(i).outcomes
-        for channel, chosen in ((a._hit[i], hit), (a._miss[i], miss)):
+        for channel, chosen in ((a.event(i)._hit, hit), (a.event(i)._miss, miss)):
             expected = [m.kraus[label] for label in m.spectrum if label in chosen]
             assert len(channel.kraus) == len(expected)
             assert all(k is e for k, e in zip(channel.kraus, expected))

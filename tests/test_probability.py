@@ -1,3 +1,8 @@
+import hashlib
+import json
+import re
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,20 +15,32 @@ from qlll.errors import (
     ConditionOnZeroError,
     DimensionMismatchError,
     MissingAssignmentError,
+    QlllError,
     ValidationError,
 )
-from qlll.events import Event, complement, complete_event, empty_event
+from qlll.events import Event, SuperOperator, complement, complete_event, empty_event
 from qlll.generate import (
+    GeneratorKind,
+    GeneratorSpec,
     computational_measurement,
+    generate,
     ginibre_state,
     minus_state,
     plus_state,
     random_projective_measurement,
     zx_measurement_pair,
 )
-from qlll.independence import _decide, _neg_difference
+from qlll.independence import (
+    _decide,
+    _difference,
+    _neg_difference,
+    compute_profile,
+    is_independent,
+    is_neg_independent,
+)
 from qlll.linalg import DEFAULT_TOL, validate_density
-from qlll.lll import _avoidance_pass
+from qlll.lll import LLLInstance, _avoidance_pass, check_general, check_symmetric
+from qlll.oracle import enumerate_probability
 from qlll.probability import (
     Test,
     TestEventAssignment,
@@ -169,6 +186,38 @@ def test_check_index_set_contract():
             check_index_set(bad, 4)
 
 
+@pytest.mark.parametrize(
+    "bad", [1.7, 2.0, True, np.True_, "1", None], ids=["float", "integral-float", "bool", "numpy-bool", "str", "none"]
+)
+def test_slot_indices_must_be_integers(pool40, bad):
+    # a float used to be truncated (1.7 -> slot 1) and a bool read as 0 or 1
+    a = next(a for a in pool40 if a.n >= 3)
+    e = a.event(1)
+    probes = (
+        lambda: pr_test_marginal(a, [bad]),
+        lambda: pr_test_cond(a, (1,), (bad,)),
+        lambda: is_independent(a, 3, (bad,)),
+        lambda: enumerate_probability(a, (bad,)),
+        lambda: TestEventAssignment(a.test, {bad: e}),
+        lambda: a.with_event(bad, e),
+        lambda: is_neg_independent(a, bad, (1,)),
+    )
+    for probe in probes:
+        with pytest.raises(ValidationError, match=f"index {re.escape(repr(bad))} is not an integer"):
+            probe()
+
+
+def test_numpy_integer_slot_indices_read_as_ints(pool40):
+    a = next(a for a in pool40 if a.n >= 3)
+    one, three = np.int64(1), np.int32(3)
+    assert pr_test_marginal(a, np.array([1, 3])) == pr_test_marginal(a, (1, 3))
+    assert pr_test_cond(a, (one,), (three,)) == pr_test_cond(a, (1,), (3,))
+    assert is_neg_independent(a, three, (one,)) == is_neg_independent(a, 3, (1,))
+    assert a.with_event(one, a.event(1)).assigned() == a.assigned()
+    assert check_index_set(np.arange(1, 4), 3) == (1, 2, 3)
+    assert all(type(i) is int for i in check_index_set(np.arange(1, 4), 3))
+
+
 def test_conditional_needs_condition_before_target(zx):
     m1, m2 = zx
     a = TestEventAssignment(
@@ -294,6 +343,46 @@ def _variants(a):
     )
 
 
+def _answer(query):
+    """*query*'s value, or the type and message of the library error it raises."""
+    try:
+        return query()
+    except QlllError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _answers(a) -> dict:
+    """Profile, both checks and every probability query of *a*, as JSON-ready values."""
+    rho, seq = a.test.rho, [a.event(i) for i in a.assigned()]
+    return {
+        "profile": compute_profile(a).to_json(),
+        "general": check_general(LLLInstance(a, (0.5,) * a.n)).to_json(),
+        "symmetric": _answer(lambda: check_symmetric(a).to_json()),
+        "marginal": [_answer(lambda: pr_test_marginal(a, K)) for K in _subsets(range(1, a.n + 1))],
+        "cond": [_answer(lambda: pr_test_cond(a, K, L)) for K, L in _ordered_pairs(a.n)],
+        "indep": [
+            [_answer(lambda: _difference(a, L[0], K, None, DEFAULT_TOL)),
+             _answer(lambda: _neg_difference(a, L[0], K, DEFAULT_TOL))]
+            for K, L in _ordered_pairs(a.n)
+            if len(L) == 1
+        ],
+        "state": [
+            [_answer(lambda: pr_state(rho, seq[:cut])), _answer(lambda: pr_state_cond(rho, seq[:cut], seq[cut:]))]
+            for cut in range(len(seq) + 1)
+        ],
+    }
+
+
+def _answers_digest(pool) -> str:
+    doc = [_answers(a) for a0 in pool for a in _variants(a0)]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_pool_answers_are_pinned_bit_for_bit(pool40):
+    # json writes each float's shortest repr, so any changed bit changes the digest
+    assert _answers_digest(pool40) == "ecc0ae6a6b20a1b65766c67e0d57f7dbe00c33a900a001c639e53812939821f2"
+
+
 def test_test_cond_matches_two_walk_definition(pool40):
     seen = set()
     for a0 in pool40:
@@ -322,68 +411,105 @@ def test_state_cond_matches_two_walk_definition(pool40):
 
 
 def test_test_cond_walks_max_L_channels(pool40, monkeypatch):
-    # a walk through slots 1..m applies m - 1 channels and reads the last one as
-    # an effect: m = max(L), or max(K) when the condition has probability zero.
-    # A nonempty K reads its denominator; an empty one takes tr(rho).  Each
-    # query runs on a fresh assignment, so no tau walked earlier is reused.
+    # a test applies its n - 1 complete channels once, when it is built, to walk
+    # tau.  A query then starts at tau_{k-1}, k = K[0] (1 for an empty K), applies
+    # the channels of slots k..m-1 and reads slot m's as an effect: m = max(L),
+    # or max(K) when the condition has probability zero.  A nonempty K reads its
+    # denominator; an empty one takes tr(rho).
     calls = helpers.count_channel_work(monkeypatch)
     for a in (v for a0 in pool40 for v in _variants(a0)):
+        calls.clear()
+        fresh = TestEventAssignment(Test(a.test.rho, a.test.measurements), a.events)
+        assert (calls.count("__call__"), calls.count("trace_of")) == (a.n - 1, 0)
         for K, L in _ordered_pairs(a.n):
-            fresh = TestEventAssignment(a.test, a.events)
+            first = K[0] if K else 1
             calls.clear()
             try:
                 pr_test_cond(fresh, K, L)
             except ConditionOnZeroError:
-                assert (calls.count("__call__"), calls.count("trace_of")) == (K[-1] - 1, 1)
+                assert (calls.count("__call__"), calls.count("trace_of")) == (K[-1] - first, 1)
                 continue
-            assert (calls.count("__call__"), calls.count("trace_of")) == (L[-1] - 1, 1 + bool(K))
+            assert (calls.count("__call__"), calls.count("trace_of")) == (L[-1] - first, 1 + bool(K))
 
 
 def _fresh_answers_match(a):
-    """Every marginal and conditional of *a* equals the same query on a fresh assignment."""
+    """Every marginal and conditional of *a* equals the same query on a fresh test."""
+
+    def fresh():
+        return TestEventAssignment(Test(a.test.rho, a.test.measurements), a.events)
+
     seen = set()
     for K in _subsets(range(1, a.n + 1)):
-        seen.add(_same_outcome(
-            lambda: pr_test_marginal(a, K), lambda: pr_test_marginal(TestEventAssignment(a.test, a.events), K)
-        ))
+        seen.add(_same_outcome(lambda: pr_test_marginal(a, K), lambda: pr_test_marginal(fresh(), K)))
     for K, L in _ordered_pairs(a.n):
-        seen.add(_same_outcome(
-            lambda: pr_test_cond(a, K, L), lambda: pr_test_cond(TestEventAssignment(a.test, a.events), K, L)
-        ))
+        seen.add(_same_outcome(lambda: pr_test_cond(a, K, L), lambda: pr_test_cond(fresh(), K, L)))
     return seen
 
 
 def test_warm_tau_answers_equal_a_fresh_assignments(pool40):
-    # tau holds rho through complete channels only: walked to the last slot
-    # before any query, and shared with every with_event copy, it must give
-    # the floats of a fresh assignment that walks it from rho per query
+    # tau holds rho through complete channels only: walked once by the test and
+    # shared with every assignment on it, with_event copies included, it must
+    # give the floats of a fresh test that walks it again per query
     seen = set()
     for a0 in pool40:
         for a in _variants(a0):
-            a._tau_at(a.n - 1)
-            assert all(tau is not None for tau in a._tau)
+            assert len(a.test._tau) == a.n
             seen |= _fresh_answers_match(a)
             for i in a.assigned():
                 b = a.with_event(i, complement(a.event(i)))
-                assert b._tau is a._tau
+                assert b.test._tau is a.test._tau
                 seen |= _fresh_answers_match(b)
     assert seen == {"zero", "value"}
 
 
+def test_an_assignment_holds_only_its_test_and_events(pool40):
+    # every channel and tau live on the test and the events, so queries and
+    # walks leave nothing behind on the assignment
+    for a0 in pool40[:8]:
+        for a in _variants(a0):
+            b = a.with_event(1, complement(a.event(1)))
+            for c in (a, b):
+                check_general(LLLInstance(c, (0.5,) * c.n))
+                pr_test_cond(c, (), (c.n,))
+                assert vars(c).keys() == {"test", "events"}
+
+
+def test_repeated_state_queries_build_each_effect_once(monkeypatch):
+    # each event holds its hit channel, and the channel its effect, so a
+    # repeated bare-state query reads the effects built by the first
+    built, original = [], SuperOperator._effect.func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    effect = cached_property(counting)
+    effect.__set_name__(SuperOperator, "_effect")
+    monkeypatch.setattr(SuperOperator, "_effect", effect)
+    a = generate(GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=3, local_dim=2, seed=1))
+    seq = [a.event(i) for i in a.assigned()]
+    assert len({pr_state(a.test.rho, seq) for _ in range(3)}) == 1
+    assert len(built) == 1 and built[0] is seq[-1]._hit
+    built.clear()
+    assert len({pr_state_cond(a.test.rho, seq[:1], seq[1:]) for _ in range(3)}) == 1
+    assert len(built) == 1 and built[0] is seq[0]._hit  # seq[-1]'s effect was built above
+
+
 # ---------------------------------------------------------------------------
-# The assignment's channel table against explicitly padded event sequences
+# The test route's channels against explicitly padded event sequences
 
 
 def _reference_padded(a, K, flip=()):
     """Events of slots 1..max(K): the assigned event at K (complemented at *flip*), else complete.
 
-    Built from the events alone with ``complete_event`` and ``complement``, so
-    it never reads the assignment's channel table.
+    Built as fresh events with ``Event``, ``complete_event`` and ``complement``,
+    so it shares no channel with the test, or with the assigned events.
     """
     seq = []
     for i in range(1, (K[-1] if K else 0) + 1):
         if i in K:
-            seq.append(complement(a.event(i)) if i in flip else a.event(i))
+            e = a.event(i)
+            seq.append(complement(e) if i in flip else Event(e.measurement, e.outcomes))
         else:
             seq.append(complete_event(a.test.measurements[i - 1]))
     return seq
@@ -407,9 +533,9 @@ def _reference_test_cond(a, K, L, flip=()):
 def _table_variants(a):
     # the unassigned-slot variants drop the first or the last slot's event; a
     # complete event at slot 1 leaves every later avoided prefix at probability 0.
-    # All but the unassigned ones come from with_event, which shares the
-    # parent's channels outside the slot it changes; the last one fills an
-    # unassigned slot that way.
+    # All but the unassigned ones come from with_event, which keeps the
+    # parent's test and its events outside the slot it changes; the last one
+    # fills an unassigned slot that way.
     dropped = tuple(
         TestEventAssignment(a.test, {i: e for i, e in a.events.items() if i != drop})
         for drop in (1, a.n)
@@ -478,23 +604,34 @@ def _same_channel(f, g):
     return len(f.kraus) == len(g.kraus) and all(x is y for x, y in zip(f.kraus, g.kraus))
 
 
+def _channels_of(a):
+    return {i: (e._hit, e._miss) for i, e in a.events.items()}
+
+
 def test_with_event_rebuilds_only_the_slot_it_changes(pool40):
     for a in pool40:
-        parent = (dict(a.events), dict(a._hit), dict(a._miss))
+        parent = (dict(a.events), _channels_of(a), a.test._complete, a.test._tau)
         for i in a.assigned():
             b = a.with_event(i, complement(a.event(i)))
-            assert b.test is a.test and b._complete is a._complete
+            assert b.test is a.test
             for j in a.assigned():
                 if j != i:
                     assert b.events[j] is a.events[j]
-                    assert b._hit[j] is a._hit[j] and b._miss[j] is a._miss[j]
-            fresh = TestEventAssignment(a.test, b.events)
+                    assert all(x is y for x, y in zip(_channels_of(b)[j], parent[1][j]))
+            assert not any(x is y for x, y in zip(_channels_of(b)[i], parent[1][i]))
+            # equal objects built from scratch give channels over the same Kraus arrays
+            fresh = TestEventAssignment(
+                Test(a.test.rho, a.test.measurements),
+                {j: Event(e.measurement, e.outcomes) for j, e in b.events.items()},
+            )
             assert list(b.events.items()) == list(fresh.events.items())
-            assert b._hit.keys() == fresh._hit.keys() == b._miss.keys() == fresh._miss.keys()
-            assert all(_same_channel(b._hit[j], fresh._hit[j]) for j in b.assigned())
-            assert all(_same_channel(b._miss[j], fresh._miss[j]) for j in b.assigned())
-            assert all(_same_channel(f, g) for f, g in zip(b._complete, fresh._complete))
-        assert (dict(a.events), dict(a._hit), dict(a._miss)) == parent
+            for (f, g), (h, k) in zip(_channels_of(b).values(), _channels_of(fresh).values()):
+                assert _same_channel(f, h) and _same_channel(g, k)
+            assert all(_same_channel(f, g) for f, g in zip(b.test._complete, fresh.test._complete))
+            assert all(np.array_equal(x, y) for x, y in zip(b.test._tau, fresh.test._tau))
+        assert dict(a.events) == parent[0]
+        assert all(x is y for j in a.assigned() for x, y in zip(_channels_of(a)[j], parent[1][j]))
+        assert a.test._complete is parent[2] and a.test._tau is parent[3]
         with pytest.raises(ValidationError, match="event at slot 1 is defined by measurement 'M2'"):
             a.with_event(1, complete_event(a.test.measurements[1]))
         with pytest.raises(ValidationError, match=f"assignment index {a.n + 1} outside 1..{a.n}"):

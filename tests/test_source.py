@@ -45,8 +45,9 @@ def _top_level(name: str, node_name: str) -> ast.AST:
 
 
 def test_only_the_probability_layer_builds_channels():
-    # lll.py and independence.py read each assignment's channel table; building
-    # channels or complemented assignments there would rebuild it per query
+    # lll.py and independence.py read the channels the test and the events
+    # hold; building channels or complemented assignments there would rebuild
+    # them per query
     builders = {"super_operator_of", "complement", "complete_event", "with_complemented"}
     found = []
     for name in ("lll.py", "independence.py"):
@@ -58,7 +59,7 @@ def test_only_the_probability_layer_builds_channels():
 def test_lll_walks_no_channels():
     # the check reads its marginals, lemma column and all-avoided probability
     # from independence._PrefixWalk; only independence.py and probability.py
-    # walk channel tables, so a second forward walk cannot come back unnoticed
+    # walk channels, so a second forward walk cannot come back unnoticed
     walking = {"_hit", "_miss", "_complete", "_padded", "_cond", "_walk", "trace"}
     tree = ast.parse((SRC / "lll.py").read_text(encoding="utf-8"), filename="lll.py")
     names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
@@ -102,7 +103,7 @@ def _functions(tree: ast.Module):
 def test_walks_start_at_tau_and_read_their_last_channel():
     # every probability reads its last channel as an effect (trace_of), so
     # trace() only ever sees a state already walked; test-relative walks start
-    # at the assignment's tau, so rho.matrix is read where tau starts and by
+    # at the test's tau, so rho.matrix is read where the test builds tau and by
     # the bare-state roots, which have no test
     found, readers = [], set()
     for name in ("probability.py", "independence.py"):
@@ -124,7 +125,7 @@ def test_walks_start_at_tau_and_read_their_last_channel():
         }
     assert found == []
     assert readers == {
-        "probability.py:TestEventAssignment.__init__",
+        "probability.py:Test.__post_init__",
         "probability.py:pr_state",
         "probability.py:pr_state_cond",
     }
