@@ -75,7 +75,6 @@ from .oracle import (
     SampleEstimate,
     enumerate_probability,
     sample_trajectories,
-    trajectory_distribution,
 )
 from .probability import (
     Test,

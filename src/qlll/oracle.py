@@ -8,6 +8,9 @@ is the Monte Carlo wave-function method (Dalibard, Castin & Molmer, PRL 68,
 580, 1992): each trajectory starts in an eigenvector of ``rho`` drawn with its
 eigenvalue as weight, and at every step draws an outcome from the Born
 weights ``|M_m psi|^2`` and keeps the normalized branch ``M_m psi``.
+Trajectories with the same history (start eigenvector and outcomes so far)
+share one state, so each step applies the Kraus operators once per distinct
+live history, and a trajectory stops once an outcome falls outside its event.
 Agreement between the three routes is what the test suite leans on.
 """
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, InternalConsistencyError, ValidationError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import Test, TestEventAssignment, _clamp_probability, check_index_set
+from .probability import TestEventAssignment, _clamp_probability, check_index_set
 
 DEFAULT_ENUM_CAP = 10**6
 SAMPLER_ALGORITHM = "numpy:PCG64"
@@ -31,27 +34,6 @@ SAMPLER_ALGORITHM = "numpy:PCG64"
 _STEP_DRIFT = 1e-6
 # trajectories per batch; each batch draws from its own spawned seed
 _CHUNK = 50_000
-
-
-def _trajectories(test: Test, choices: list, cap: int):
-    """Yield ``(outcomes, probability)`` for every outcome tuple drawn from
-    *choices* (one label list per slot, starting at slot 1).
-
-    The cap applies to the full outcome grid of the first ``len(choices)``
-    measurements, whatever the choices exclude.
-    """
-    grid = math.prod(len(m.spectrum) for m in test.measurements[: len(choices)])
-    if grid > cap:
-        raise EnumerationCapError(
-            f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
-        )
-    rho = test.rho.matrix
-    identity = np.eye(test.rho.dim, dtype=np.complex128)
-    for combo in itertools.product(*choices):
-        w = identity
-        for m, label in zip(test.measurements, combo):
-            w = m.kraus[label] @ w
-        yield combo, float(np.trace(w @ rho @ w.conj().T).real)
 
 
 def enumerate_probability(
@@ -70,29 +52,30 @@ def enumerate_probability(
     Raises
     ------
     EnumerationCapError
-        When the full outcome grid of the horizon exceeds *cap*.
+        When the full outcome grid of the horizon exceeds *cap*, whatever the
+        events at *K* exclude.
     """
     K = check_index_set(K, a.n)
+    horizon = a.test.measurements[: max(K, default=0)]
     choices = [
         [lab for lab in m.spectrum if i not in K or lab in a.event(i).outcomes]
-        for i, m in enumerate(a.test.measurements[: max(K, default=0)], start=1)
+        for i, m in enumerate(horizon, start=1)
     ]
+    grid = math.prod(len(m.spectrum) for m in horizon)
+    if grid > cap:
+        raise EnumerationCapError(
+            f"horizon has {grid} trajectories, above the cap {cap}", grid=grid, cap=cap
+        )
+    rho = a.test.rho.matrix
+    identity = np.eye(a.test.rho.dim, dtype=np.complex128)
     # left-to-right float sum; built-in sum() is compensated from Python 3.12
     total = 0.0
-    for _, p in _trajectories(a.test, choices, cap):
-        total += p
+    for combo in itertools.product(*choices):
+        w = identity
+        for m, label in zip(horizon, combo):
+            w = m.kraus[label] @ w
+        total += float(np.trace(w @ rho @ w.conj().T).real)
     return _clamp_probability(total, tol)
-
-
-def trajectory_distribution(
-    test: Test, cap: int = DEFAULT_ENUM_CAP
-) -> list[tuple[tuple[str, ...], float]]:
-    """All full-horizon ``(outcomes, probability)`` pairs, one per outcome tuple.
-
-    The probabilities sum to one up to rounding; the suite asserts this.
-    """
-    choices = [m.spectrum for m in test.measurements]
-    return list(_trajectories(test, choices, cap))
 
 
 @dataclass(frozen=True)
@@ -108,23 +91,28 @@ class SampleEstimate:
 
 
 def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) -> int:
-    """Walk *size* state-vector trajectories in one batch; return the success count."""
+    """Walk *size* state-vector trajectories in one batch; return the success count.
+
+    ``table`` holds one state per distinct live history; each live trajectory
+    keeps its row in ``which`` and its batch position in ``alive``, so it
+    reads the same uniforms as in a walk of the whole batch.
+    """
     values, vectors = np.linalg.eigh(a.test.rho.matrix)
     cum = np.clip(values, 0.0, None)
     for j in range(1, len(cum)):
         cum[j] += cum[j - 1]
-    states = vectors[:, np.searchsorted(cum / cum[-1], rng.random(size), side="right")].T
-    rows = np.arange(size)
-    success = np.ones(size, dtype=bool)
+    which = np.searchsorted(cum / cum[-1], rng.random(size), side="right")
+    table = vectors.T
+    alive = np.arange(size)
     for step in range(1, max(K, default=0) + 1):
         m = a.test.measurements[step - 1]
         k = len(m.spectrum)
         stacked = np.concatenate([m.kraus[lab] for lab in m.spectrum])
-        branches = (states @ stacked.T).reshape(size * k, -1)
+        branches = (table @ stacked.T).reshape(len(table) * k, -1)
         # |branch|^2 from the float view: no conjugate copy of the branches
-        flat = branches.view(np.float64).reshape(size, k, -1)
+        flat = branches.view(np.float64).reshape(len(table), k, -1)
         probs = np.einsum("bkj,bkj->bk", flat, flat)
-        # a column at a time over the batch: np.cumsum along this axis was slow
+        # a column at a time over the table: np.cumsum along this axis was slow
         cum = probs.copy()
         for j in range(1, k):
             cum[:, j] += cum[:, j - 1]
@@ -138,17 +126,27 @@ def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) ->
         cum /= cum[:, -1:]
         # draw the first outcome whose cumulative weight passes u: the last column
         # is 1.0 > u and cum never decreases, so that is the count of columns <= u
-        u = rng.random(size)
-        drawn = np.zeros(size, dtype=np.intp)
+        u = rng.random(size)[alive]
+        drawn = np.zeros(len(alive), dtype=np.intp)
         for j in range(k - 1):
-            drawn += cum[:, j] <= u
-        picked = rows * k + drawn
-        states = branches[picked]
-        states /= np.sqrt(probs.ravel()[picked])[:, None]
-        del branches, flat  # freed before the next step allocates its branches
+            drawn += cum[:, j][which] <= u
         if step in K:
-            success &= np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]
-    return int(success.sum())
+            inside = np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]
+            alive, which, drawn = alive[inside], which[inside], drawn[inside]
+            if not len(alive):
+                return 0
+        # one table row per drawn branch, numbered in branch order
+        codes = which * k + drawn
+        used = np.zeros(len(branches), dtype=bool)
+        used[codes] = True
+        picked = np.flatnonzero(used)
+        remap = np.empty(len(branches), dtype=np.intp)
+        remap[picked] = np.arange(len(picked))
+        which = remap[codes]
+        table = branches[picked]
+        table /= np.sqrt(probs.ravel()[picked])[:, None]
+        del branches, flat  # freed before the next step allocates its branches
+    return len(alive)
 
 
 def sample_trajectories(

@@ -213,6 +213,9 @@ class TestEventAssignment:
         return tuple(self.events)
 
     def event(self, i: int) -> Event:
+        # a plain int is read as is: _padded and _PrefixWalk read every slot this way
+        if type(i) is not int:
+            i = _slot_index(i, self.n, "assignment index")
         try:
             return self.events[i]
         except KeyError:

@@ -16,7 +16,7 @@ import pytest
 from helpers import POOL_SIZE, rand_subset, suite_rng
 from test_propositions import MIN_HITS, SUITE_NAMES
 from qlll import cli
-from qlll.events import Event
+from qlll.events import Event, complete_event
 from qlll.generate import (
     GeneratorKind,
     GeneratorSpec,
@@ -30,8 +30,8 @@ from qlll.generate import (
 )
 from qlll.independence import compute_profile
 from qlll.lll import check_general, check_symmetric, symmetric_chain_holds
-from qlll.oracle import enumerate_probability, sample_trajectories, trajectory_distribution
-from qlll.probability import pr_state_cond, pr_test_marginal
+from qlll.oracle import enumerate_probability, sample_trajectories
+from qlll.probability import TestEventAssignment, pr_state_cond, pr_test_marginal
 from qlll.schemas import (
     COMMAND_SCHEMAS,
     ERROR_SCHEMA,
@@ -122,7 +122,9 @@ def test_criterion_3_oracle_equivalence(capsys, instance_pool):
             queries += 1
             if abs(direct - summed) > 1e-10:
                 failures.append((a.test.rho.dim, K, direct, summed))
-        total = sum(w for _, w in trajectory_distribution(a.test))
+        # the whole horizon: complete events at every slot
+        events = {i: complete_event(m) for i, m in enumerate(a.test.measurements, 1)}
+        total = enumerate_probability(TestEventAssignment(a.test, events), slots)
         if abs(total - 1.0) > 1e-9:
             failures.append(("horizon sum", total))
     if queries < 500:

@@ -7,7 +7,7 @@ import pytest
 from helpers import build_pool, rand_subset, suite_rng
 from qlll import oracle
 from qlll.errors import EnumerationCapError, InternalConsistencyError, ValidationError
-from qlll.events import Event, Measurement
+from qlll.events import Event, Measurement, complete_event
 from qlll.generate import GeneratorKind, GeneratorSpec, generate
 from qlll.oracle import (
     _CHUNK,
@@ -16,7 +16,6 @@ from qlll.oracle import (
     SampleEstimate,
     enumerate_probability,
     sample_trajectories,
-    trajectory_distribution,
 )
 from qlll.linalg import validate_density
 from qlll.probability import Test, TestEventAssignment, pr_test_marginal
@@ -38,29 +37,12 @@ def test_enumeration_matches_superoperator_route(pool):
             )
 
 
-def test_trajectory_distribution_normalizes(pool):
-    for a in pool:
-        dist = trajectory_distribution(a.test)
-        grid = 1
-        for m in a.test.measurements:
-            grid *= len(m.spectrum)
-        assert len(dist) == grid
-        assert sum(w for _, w in dist) == pytest.approx(1.0, abs=1e-9)
-        for traj, w in dist:
-            assert w >= -1e-12
-            assert len(traj) == a.n
-            for label, m in zip(traj, a.test.measurements):
-                assert label in m.spectrum
-
-
 def test_enumeration_cap():
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=3, local_dim=3, seed=5))
     with pytest.raises(EnumerationCapError) as exc:
         enumerate_probability(a, (a.n,), cap=2)
     assert exc.value.detail["cap"] == 2
     assert exc.value.detail["grid"] > 2
-    with pytest.raises(EnumerationCapError):
-        trajectory_distribution(a.test, cap=2)
 
 
 def test_enumeration_degenerate_index_sets(pool):
@@ -142,6 +124,55 @@ def test_sampler_draws_match_the_reference_step(pool, monkeypatch):
     assert got == _reference_estimates(monkeypatch, runs)
     # the draws differ from run to run, so equality is not read off constants
     assert len({est.estimate for est in got}) > len(runs) // 4
+
+
+def _complete(a):
+    """*a* with the complete event at every slot."""
+    return TestEventAssignment(a.test, {i: complete_event(m) for i, m in enumerate(a.test.measurements, 1)})
+
+
+def test_sampler_draws_match_the_reference_step_at_the_edges(pool, monkeypatch):
+    # one trajectory; an emptied event, where every trajectory leaves at slot 1;
+    # complete events, where none ever leaves; and K = (n,), walking n - 1
+    # unchecked slots first
+    runs = []
+    for a in pool:
+        slots = tuple(range(1, a.n + 1))
+        emptied = a.with_event(1, Event(a.test.measurements[0], []))
+        for seed in (0, 7):
+            runs += [(a, slots, 1, seed), (a, (a.n,), 1, seed), (a, (a.n,), 600, seed)]
+            runs += [(emptied, slots, 600, seed), (_complete(a), slots, 600, seed)]
+    got = [sample_trajectories(*run) for run in runs]
+    assert got == _reference_estimates(monkeypatch, runs)
+    assert {est.estimate for est in got[3::5]} == {0.0}
+    assert {est.estimate for est in got[4::5]} == {1.0}
+
+
+class _CountingDraws:
+    """Generator stand-in that counts its ``random`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
+def test_sampler_stops_once_no_trajectory_is_inside_the_events(pool):
+    # one draw picks the start states and one the slot-1 outcomes; with slot 1's
+    # event emptied no trajectory is left to walk slots 2..n
+    a = next(a for a in pool if a.n >= 3)
+    slots = tuple(range(1, a.n + 1))
+    emptied = a.with_event(1, Event(a.test.measurements[0], []))
+    draws = _CountingDraws(0)
+    assert oracle._sample_chunk(emptied, slots, 500, draws) == 0
+    assert draws.calls == 2
+    # complete events keep every trajectory, so each slot draws once
+    draws = _CountingDraws(0)
+    assert oracle._sample_chunk(_complete(a), slots, 500, draws) == 500
+    assert draws.calls == a.n + 1
 
 
 class _ZeroDraws:

@@ -218,6 +218,18 @@ def test_numpy_integer_slot_indices_read_as_ints(pool40):
     assert all(type(i) is int for i in check_index_set(np.arange(1, 4), 3))
 
 
+def test_event_reads_only_integer_slots(pool40):
+    # True and 1.0 used to read slot 1's event straight from the dict
+    a = next(a for a in pool40 if a.n >= 3)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValidationError, match=f"index {re.escape(repr(bad))} is not an integer"):
+            a.event(bad)
+    assert a.event(np.int64(1)) is a.event(1)
+    partial = TestEventAssignment(a.test, {1: a.event(1)})
+    with pytest.raises(MissingAssignmentError, match="no event assigned at slot 2"):
+        partial.event(2)
+
+
 def test_conditional_needs_condition_before_target(zx):
     m1, m2 = zx
     a = TestEventAssignment(

@@ -44,6 +44,17 @@ def _top_level(name: str, node_name: str) -> ast.AST:
     )
 
 
+def _names_used(name: str, wanted: set[str]) -> list[str]:
+    """``file:line name`` of each name, attribute or import in library file *name* that is in *wanted*."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return [
+        f"{name}:{node.lineno} {getattr(node, fields[type(node)])}"
+        for node in ast.walk(tree)
+        if type(node) in fields and getattr(node, fields[type(node)]) in wanted
+    ]
+
+
 def test_only_the_probability_layer_builds_channels():
     # lll.py and independence.py read the channels the test and the events
     # hold; building channels or complemented assignments there would rebuild
@@ -61,14 +72,15 @@ def test_lll_walks_no_channels():
     # from independence._PrefixWalk; only independence.py and probability.py
     # walk channels, so a second forward walk cannot come back unnoticed
     walking = {"_hit", "_miss", "_complete", "_padded", "_cond", "_walk", "trace"}
-    tree = ast.parse((SRC / "lll.py").read_text(encoding="utf-8"), filename="lll.py")
-    names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
-    found = [
-        f"lll.py:{node.lineno} {getattr(node, names[type(node)])}"
-        for node in ast.walk(tree)
-        if type(node) in names and getattr(node, names[type(node)]) in walking
-    ]
-    assert found == []
+    assert _names_used("lll.py", walking) == []
+
+
+def test_oracle_reads_no_super_operator():
+    # enumeration and the sampler referee the super-operator path, so they
+    # read only Kraus operators: a channel or effect borrowed from a Test or an
+    # Event would let one fault pass both routes unseen
+    borrowed = {"_hit", "_miss", "_complete", "_tau", "super_operator_of", "trace_of", "SuperOperator"}
+    assert _names_used("oracle.py", borrowed) == []
 
 
 def test_sampler_step_has_no_short_axis_reductions():
