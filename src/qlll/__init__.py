@@ -45,7 +45,6 @@ from .generate import (
     generate_assumption_satisfying,
     ginibre_state,
     haar_unitary,
-    rarefy_events,
     worked_examples,
 )
 from .independence import (

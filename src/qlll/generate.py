@@ -331,24 +331,6 @@ def _drop_outcome(
     return a.with_event(slot, Event(a.event(slot).measurement, set(outcomes) - {dropped}))
 
 
-def rarefy_events(
-    a: TestEventAssignment,
-    p_cap: float,
-    rng: np.random.Generator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TestEventAssignment:
-    """Shrink event outcome sets until every single-event marginal is <= p_cap."""
-    if not (0.0 <= p_cap <= 1.0):  # NaN and infinities fail it too
-        raise ValidationError(f"p_cap={p_cap!r} is not a probability in [0, 1]")
-    while True:
-        marginals = {i: pr_test_marginal(a, (i,), tol) for i in a.assigned()}
-        worst = max(marginals, key=marginals.get)
-        if marginals[worst] <= p_cap:
-            return a
-        # an empty event has marginal 0, so progress is guaranteed
-        a = _drop_outcome(a, worst, rng)
-
-
 def generate_assumption_satisfying(
     spec: GeneratorSpec,
     x: Sequence[float],

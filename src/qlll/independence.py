@@ -157,13 +157,18 @@ class DependenceProfile:
     ``table[(k, l)]`` is True/False for decided pairs and None where some
     conditioning prefix had numerically zero probability (undefined).  For
     ``s`` and ``d_min`` an undefined pair counts as dependent; that is the
-    conservative direction for the local-lemma bounds.
+    conservative direction for the local-lemma bounds.  The checks read
+    ``marginals`` (Pr[E_i]), ``lemma`` (Pr[E_i | none of E_1..E_{i-1}], None
+    on a zero prefix) and ``avoided`` (Pr[no event]); ``to_json`` omits them.
     """
 
     n: int
     s: tuple[int, ...]
     table: dict[tuple[int, int], bool | None]
     d_min: int
+    marginals: tuple[float, ...]
+    lemma: tuple[float | None, ...]
+    avoided: float
 
     def to_json(self) -> dict:
         rows = []
@@ -178,7 +183,8 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
     Cost is one pair of probability queries per (target, prefix) pair.  Each
     target folds its prefixes in order (any False wins, then any undefined,
     else True), so ``table[(k, l)]`` covers every prefix of length <= l and
-    the table is antitone in l by construction.
+    the table is antitone in l by construction.  One ``_PrefixWalk`` then
+    reads the checks' fields; it needs an event at every slot, n = 1 too.
     """
     n = a.n
     table: dict[tuple[int, int], bool | None] = {}
@@ -198,4 +204,9 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
     # each target's True entries are exactly l = 1..s_k, so its largest
     # dependent k - l sits at l = s_k + 1
     d_min = max(k - 1 - s[k - 1] for k in range(1, n + 1))
-    return DependenceProfile(n=n, s=tuple(s), table=table, d_min=d_min)
+    walk, marginals, lemma = _PrefixWalk(a), [], []
+    for i in range(1, n + 1):
+        marginals.append(walk.marginal(a, tol))
+        lemma.append(walk.conditional(a, i - 1, tol))
+        walk.advance(a)
+    return DependenceProfile(n, tuple(s), table, d_min, tuple(marginals), tuple(lemma), walk.avoided(tol))

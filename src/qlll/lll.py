@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import BadPError, ValidationError
-from .independence import DependenceProfile, _PrefixWalk, compute_profile
+from .independence import DependenceProfile, compute_profile
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .probability import TestEventAssignment
 
@@ -39,17 +39,6 @@ class LLLInstance:
         missing = [i for i in range(1, n + 1) if i not in self.assignment.events]
         if missing:
             raise ValidationError(f"local-lemma checks need an event at every slot; missing {missing}")
-
-
-def _avoidance_pass(a: TestEventAssignment, tol: ToleranceConfig) -> tuple[list, list, float]:
-    """Marginals, lemma column Pr[E_i | none of E_1..E_{i-1}] and Pr[all avoided] from one walk."""
-    walk = _PrefixWalk(a)
-    marginals, lemma = [], []
-    for i in range(1, a.n + 1):
-        marginals.append(walk.marginal(a, tol))
-        lemma.append(walk.conditional(a, i - 1, tol))
-        walk.advance(a)
-    return marginals, lemma, walk.avoided(tol)
 
 
 @dataclass(frozen=True)
@@ -118,23 +107,21 @@ def _assumption_row(i: int, marginal: float, s_i: int, x: tuple[float, ...], tol
 def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLReport:
     """Evaluate hypothesis, per-slot conditionals and the product bound.
 
-    Always computes and reports everything; ``assumption_ok`` tells the
-    caller whether the bound was owed in the first place.
+    Always computes and reports everything, all read from ``compute_profile``;
+    ``assumption_ok`` tells the caller whether the bound was owed at all.
     """
-    a = inst.assignment
-    profile = compute_profile(a, tol)
-    marginals, lemma, lhs = _avoidance_pass(a, tol)
-    rows = [_assumption_row(i, m, profile.s[i - 1], inst.x, tol) for i, m in enumerate(marginals, start=1)]
+    profile = compute_profile(inst.assignment, tol)
+    rows = [_assumption_row(i, m, profile.s[i - 1], inst.x, tol) for i, m in enumerate(profile.marginals, start=1)]
     rhs = 1.0
     for v in inst.x:
         rhs *= 1.0 - v
     return LLLReport(
         assumption_ok=tuple(r["ok"] for r in rows),
         assumption_rows=tuple(rows),
-        lemma_bounds=tuple(zip(lemma, inst.x)),
-        lhs=lhs,
+        lemma_bounds=tuple(zip(profile.lemma, inst.x)),
+        lhs=profile.avoided,
         rhs=rhs,
-        bound_ok=lhs >= rhs - tol.prob,
+        bound_ok=profile.avoided >= rhs - tol.prob,
         profile=profile,
         tol=tol,
     )
@@ -148,28 +135,29 @@ def check_symmetric(
 ) -> SymmetricReport:
     """Evaluate the symmetric condition p * e * (d_min + 1) <= 1.
 
-    *p* defaults to the largest measured single-event marginal; a *p*
-    outside [0, 1] or below that maximum raises ``BadPError``.  The
-    condition is decided with ``tol.prob`` slack on both sides; values
-    within the slack of 1 are reported "boundary".  A positivity verdict of
-    "pass" needs the all-complements probability to exceed ``tol.prob``;
-    smaller values are "inconclusive" rather than a claim either way.
+    Reads every probability from *profile*, ``compute_profile(a, tol)``,
+    computed only when not given.  *p* defaults to the largest marginal; a
+    *p* outside [0, 1] raises ``BadPError`` before any walk, one below that
+    maximum after it.  The condition is decided with ``tol.prob`` slack on
+    both sides; values within the slack of 1 are reported "boundary".  A
+    positivity verdict of "pass" needs the all-complements probability to
+    exceed ``tol.prob``; smaller values are "inconclusive".
     """
-    marginals, _, lhs = _avoidance_pass(a, tol)
-    p_max = max(marginals)
+    if p is not None:
+        p = float(p)
+        if not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
+            raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
+    if profile is None:
+        profile = compute_profile(a, tol)
+    p_max = max(profile.marginals)
     if p is None:
-        p = p_max
-    p = float(p)
-    if not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
-        raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
-    if p < p_max - tol.prob:
+        p = float(p_max)
+    elif p < p_max - tol.prob:
         raise BadPError(
             f"supplied p={p!r} is below the measured maximum marginal {p_max!r}",
             p=p,
             p_max=p_max,
         )
-    if profile is None:
-        profile = compute_profile(a, tol)
     d = profile.d_min
     value = p * math.e * (d + 1)
     if abs(value - 1.0) <= tol.prob:
@@ -189,7 +177,7 @@ def check_symmetric(
         positivity_ok = None
         verdict = "not-applicable"
     else:
-        positivity_ok = lhs > tol.prob
+        positivity_ok = profile.avoided > tol.prob
         if condition == "boundary":
             verdict = "boundary"
         else:
@@ -200,7 +188,7 @@ def check_symmetric(
         d_min=d,
         condition_value=value,
         condition=condition,
-        lhs=lhs,
+        lhs=profile.avoided,
         explicit_bound=explicit_bound,
         positivity_ok=positivity_ok,
         verdict=verdict,

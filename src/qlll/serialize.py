@@ -172,11 +172,8 @@ def instance_from_dict(
     return test, assignment, x
 
 
-def dumps(a: TestEventAssignment | Test, x=None, pretty: bool = False) -> str:
-    doc = instance_to_dict(a, x)
-    if pretty:
-        return json.dumps(doc, indent=2)
-    return json.dumps(doc, separators=(",", ":"))
+def dumps(a: TestEventAssignment | Test, x=None) -> str:
+    return json.dumps(instance_to_dict(a, x), separators=(",", ":"))
 
 
 def loads(text: str, tol: ToleranceConfig = DEFAULT_TOL):

@@ -1,12 +1,14 @@
-"""Shared fixtures helpers: the seeded instance pool, index utilities and the
-complemented-assignment reference."""
+"""Shared fixtures helpers: the seeded instance pool, index utilities, the
+complemented-assignment reference and rare-event inputs."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from qlll.errors import ValidationError
 from qlll.events import SuperOperator, complement
-from qlll.generate import GeneratorKind, GeneratorSpec, generate
+from qlll.generate import GeneratorKind, GeneratorSpec, _drop_outcome, generate
+from qlll.probability import pr_test_marginal
 
 POOL_SIZE = 200
 
@@ -100,3 +102,16 @@ def complemented(a, slots):
     for i in slots:
         a = a.with_event(i, complement(a.event(i)))
     return a
+
+
+def rarefy_events(a, p_cap: float, rng: np.random.Generator):
+    """Shrink event outcome sets until every single-event marginal is <= p_cap."""
+    if not (0.0 <= p_cap <= 1.0):  # NaN and infinities fail it too
+        raise ValidationError(f"p_cap={p_cap!r} is not a probability in [0, 1]")
+    while True:
+        marginals = {i: pr_test_marginal(a, (i,)) for i in a.assigned()}
+        worst = max(marginals, key=marginals.get)
+        if marginals[worst] <= p_cap:
+            return a
+        # an empty event has marginal 0, so progress is guaranteed
+        a = _drop_outcome(a, worst, rng)

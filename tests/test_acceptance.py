@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from helpers import POOL_SIZE, rand_subset, suite_rng
+from helpers import POOL_SIZE, rand_subset, rarefy_events, suite_rng
 from test_propositions import MIN_HITS, SUITE_NAMES
 from qlll import cli
 from qlll.events import Event, complete_event
@@ -24,7 +24,6 @@ from qlll.generate import (
     generate,
     generate_assumption_satisfying,
     plus_state,
-    rarefy_events,
     worked_examples,
     zx_measurement_pair,
 )

@@ -126,6 +126,19 @@ def test_profile_fully_undefined_exits_2(capsys, ref_file, tmp_path):
     assert out["nind_table"] == [[2, 1, "undefined"]]
 
 
+def test_profile_with_no_events_exits_2(capsys, tmp_path):
+    # one slot has no pair to decide, but the profile still reads its event
+    path = tmp_path / "one-slot.json"
+    assert cli.main(["gen", "--kind", "random-projective", "--n", "1", "--seed", "0", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["events"] = []
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "profile", "--instance", str(path))
+    assert code == 2
+    assert out["error"]["type"] == "MissingAssignment"
+    assert out["error"]["message"] == "no event assigned at slot 1"
+
+
 def test_check_general_pass_and_hypothesis_failure(capsys, ref_file):
     code, doc = run(capsys, "check", "--instance", ref_file, "--x", "0.6,0.6")
     assert code == 0

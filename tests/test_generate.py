@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import complemented, pool_spec
+from helpers import complemented, pool_spec, rarefy_events
 from qlll.errors import ConditionOnZeroError, ValidationError
 from qlll.events import complete_event
 from qlll.generate import (
@@ -14,7 +14,6 @@ from qlll.generate import (
     _drop_outcome,
     generate,
     generate_assumption_satisfying,
-    rarefy_events,
     worked_examples,
 )
 from qlll import independence

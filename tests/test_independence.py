@@ -152,8 +152,8 @@ def test_profile_never_compares_kraus_arrays(monkeypatch):
 def test_profile_builds_no_channels_or_assignments(monkeypatch):
     # the test builds its complete channels and each event its hit and miss
     # channels once; the profile and the check only walk them, and they walk
-    # the measurements' own Kraus arrays.  Only the check reads hit_1 and miss_n,
-    # so one check builds every channel before counting starts.
+    # the measurements' own Kraus arrays.  The profile's walk reads hit_1 and
+    # miss_n, so one check builds every channel before counting starts.
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_PROJECTIVE, n=8, local_dim=3, seed=7))
     check_general(LLLInstance(a, (0.5,) * a.n))
     calls = []

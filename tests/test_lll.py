@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_pool, complemented
-from qlll.errors import BadPError, ConditionOnZeroError, ValidationError
+from helpers import build_pool, complemented, count_channel_work
+from qlll.errors import BadPError, ConditionOnZeroError, MissingAssignmentError, ValidationError
 from qlll.events import Event, Measurement, complete_event
 from qlll.generate import (
     GeneratorKind,
@@ -14,6 +14,7 @@ from qlll.generate import (
     rotated_qubit_measurement,
     zx_measurement_pair,
 )
+from qlll.independence import compute_profile
 from qlll.linalg import ToleranceConfig, validate_density
 from qlll.lll import LLLInstance, check_general, check_symmetric, symmetric_chain_holds
 from qlll.probability import Test, TestEventAssignment, pr_test_cond, pr_test_marginal
@@ -99,9 +100,10 @@ def test_lemma_ok_uses_the_check_tolerance(anchor):
 
 
 def test_one_pass_matches_definitional_route():
-    # check_general and check_symmetric take marginals, lemma conditionals
-    # and the all-avoided probability from one walk of the test; the same
-    # channels in the same order must give exactly the reference values
+    # check_general and check_symmetric read marginals, lemma conditionals
+    # and the all-avoided probability from the profile, whose one walk of the
+    # test applies the same channels in the same order as the reference route,
+    # so the values must be exactly equal
     for a in build_pool(40):
         n = a.n
         marginals = [pr_test_marginal(a, (i,)) for i in range(1, n + 1)]
@@ -122,6 +124,36 @@ def test_one_pass_matches_definitional_route():
         symmetric = check_symmetric(a, p=1.0, profile=report.profile)
         assert symmetric.p_max == max(marginals)
         assert symmetric.lhs == lhs
+
+
+def test_a_full_check_walks_only_its_profile(monkeypatch):
+    # the general check computes the profile, the symmetric check is handed it,
+    # and neither applies a channel or reads an effect beyond the profile's own
+    calls = count_channel_work(monkeypatch)
+    for a in build_pool(40):
+        calls.clear()
+        compute_profile(a)
+        profile_work = list(calls)
+        calls.clear()
+        report = check_general(LLLInstance(a, (0.5,) * a.n))
+        check_symmetric(a, profile=report.profile)
+        assert calls == profile_work
+        assert profile_work.count("trace_of") >= 2 * a.n  # each marginal and each advance
+
+
+def test_profile_needs_an_event_at_every_slot():
+    # with n = 1 the table has no pair, but the walk reads slot 1's event
+    m1, _ = zx_measurement_pair()
+    bare = TestEventAssignment(Test(plus_state(), (m1,)), {})
+    with pytest.raises(MissingAssignmentError, match="no event assigned at slot 1"):
+        compute_profile(bare)
+
+
+def test_symmetric_refuses_bad_p_before_any_walk():
+    m1, m2 = zx_measurement_pair()
+    partial = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event(m1, ["0"])})
+    with pytest.raises(BadPError, match="not a finite probability"):
+        check_symmetric(partial, p=1.5)
 
 
 def test_symmetric_pass(anchor):
@@ -185,7 +217,7 @@ def test_instance_requires_every_slot_assigned():
     partial = TestEventAssignment(Test(plus_state(), (m1, m2)), {1: Event(m1, ["0"])})
     with pytest.raises(ValidationError, match="missing"):
         LLLInstance(partial, (0.5, 0.5))
-    # the marginal scan trips on the unassigned slot first
+    # the profile trips on the unassigned slot
     with pytest.raises(ValidationError, match="slot 2"):
         check_symmetric(partial)
 

@@ -69,9 +69,9 @@ def test_only_the_probability_layer_builds_channels():
 
 def test_lll_walks_no_channels():
     # the check reads its marginals, lemma column and all-avoided probability
-    # from independence._PrefixWalk; only independence.py and probability.py
-    # walk channels, so a second forward walk cannot come back unnoticed
-    walking = {"_hit", "_miss", "_complete", "_padded", "_cond", "_walk", "trace"}
+    # from the profile; only independence.py and probability.py walk channels,
+    # so a second forward walk cannot come back unnoticed
+    walking = {"_hit", "_miss", "_complete", "_padded", "_cond", "_walk", "trace", "_PrefixWalk"}
     assert _names_used("lll.py", walking) == []
 
 
