@@ -9,7 +9,7 @@ statistics ``s_i`` (longest fully negatively-independent prefix) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConditionOnZeroError, ValidationError
@@ -159,16 +159,18 @@ class DependenceProfile:
     ``s`` and ``d_min`` an undefined pair counts as dependent; that is the
     conservative direction for the local-lemma bounds.  The checks read
     ``marginals`` (Pr[E_i]), ``lemma`` (Pr[E_i | none of E_1..E_{i-1}], None
-    on a zero prefix) and ``avoided`` (Pr[no event]); ``to_json`` omits them.
+    on a zero prefix), ``avoided`` (Pr[no event]) and the ``assignment`` and
+    ``tol`` the profile was built from; ``to_json`` omits them.
     """
 
-    n: int
     s: tuple[int, ...]
     table: dict[tuple[int, int], bool | None]
     d_min: int
     marginals: tuple[float, ...]
     lemma: tuple[float | None, ...]
     avoided: float
+    assignment: TestEventAssignment = field(repr=False, compare=False)
+    tol: ToleranceConfig = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         rows = []
@@ -209,4 +211,4 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
         marginals.append(walk.marginal(a, tol))
         lemma.append(walk.conditional(a, i - 1, tol))
         walk.advance(a)
-    return DependenceProfile(n, tuple(s), table, d_min, tuple(marginals), tuple(lemma), walk.avoided(tol))
+    return DependenceProfile(tuple(s), table, d_min, tuple(marginals), tuple(lemma), walk.avoided(tol), a, tol)

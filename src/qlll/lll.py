@@ -66,15 +66,14 @@ class LLLReport:
     lhs: float
     rhs: float
     bound_ok: bool
-    profile: DependenceProfile
-    tol: ToleranceConfig = DEFAULT_TOL  # the tolerances the check ran with
+    profile: DependenceProfile  # its ``tol`` holds the tolerances the check ran with
 
     def to_json(self) -> dict:
         return {
             "assumption_ok": list(self.assumption_ok),
             "assumption": [dict(r) for r in self.assumption_rows],
             "lemma_bounds": [
-                {"value": v, "x": x, "ok": None if v is None else v <= x + self.tol.prob}
+                {"value": v, "x": x, "ok": None if v is None else v <= x + self.profile.tol.prob}
                 for v, x in self.lemma_bounds
             ],
             "lhs": self.lhs,
@@ -123,7 +122,6 @@ def check_general(inst: LLLInstance, tol: ToleranceConfig = DEFAULT_TOL) -> LLLR
         rhs=rhs,
         bound_ok=profile.avoided >= rhs - tol.prob,
         profile=profile,
-        tol=tol,
     )
 
 
@@ -135,20 +133,20 @@ def check_symmetric(
 ) -> SymmetricReport:
     """Evaluate the symmetric condition p * e * (d_min + 1) <= 1.
 
-    Reads every probability from *profile*, ``compute_profile(a, tol)``,
-    computed only when not given.  *p* defaults to the largest marginal; a
-    *p* outside [0, 1] raises ``BadPError`` before any walk, one below that
-    maximum after it.  The condition is decided with ``tol.prob`` slack on
-    both sides; values within the slack of 1 are reported "boundary".  A
-    positivity verdict of "pass" needs the all-complements probability to
-    exceed ``tol.prob``; smaller values are "inconclusive".
+    Reads every probability from *profile*, ``compute_profile(a, tol)`` when
+    not given; one built from another assignment or tolerances raises
+    ``ValidationError``.  *p* defaults to the largest marginal; a *p* outside
+    [0, 1] raises ``BadPError`` before any walk, one below that maximum after
+    it.  A condition value within ``tol.prob`` of 1 is "boundary", and a
+    "pass" needs Pr[no event] to exceed ``tol.prob``.
     """
-    if p is not None:
-        p = float(p)
-        if not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
-            raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
+    p = None if p is None else float(p)
+    if p is not None and not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
+        raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
     if profile is None:
         profile = compute_profile(a, tol)
+    elif profile.assignment is not a or profile.tol != tol:
+        raise ValidationError("the profile was built from another assignment or under other tolerances")
     p_max = max(profile.marginals)
     if p is None:
         p = float(p_max)

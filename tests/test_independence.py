@@ -57,7 +57,7 @@ def test_reference_negative_independence_and_profile():
     a = reference()
     assert is_neg_independent(a, 2, (1,))
     profile = compute_profile(a)
-    assert profile.n == 2
+    assert profile.assignment is a
     assert profile.s == (0, 1)
     assert profile.d_min == 0
     assert profile.table == {(2, 1): True}
@@ -82,7 +82,7 @@ def test_profile_matches_definition_oracle_on_pool_sample():
 def test_profile_summary_fields_follow_from_table():
     for a in build_pool(24):
         profile = compute_profile(a)
-        n = profile.n
+        n = a.n
         worst = 0
         for (k, l), value in profile.table.items():
             if value is not True:

@@ -141,6 +141,16 @@ def test_a_full_check_walks_only_its_profile(monkeypatch):
         assert profile_work.count("trace_of") >= 2 * a.n  # each marginal and each advance
 
 
+def test_symmetric_refuses_a_profile_of_another_assignment_or_tolerance():
+    a, b = build_pool(2)
+    with pytest.raises(ValidationError, match="another assignment"):
+        check_symmetric(a, profile=compute_profile(b))
+    loose = ToleranceConfig(prob=1e-6)
+    with pytest.raises(ValidationError, match="other tolerances"):
+        check_symmetric(a, profile=compute_profile(a, loose))
+    assert check_symmetric(a, tol=loose, profile=compute_profile(a, loose)) == check_symmetric(a, tol=loose)
+
+
 def test_profile_needs_an_event_at_every_slot():
     # with n = 1 the table has no pair, but the walk reads slot 1's event
     m1, _ = zx_measurement_pair()
