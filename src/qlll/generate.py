@@ -38,6 +38,7 @@ from .lll import LLLInstance, _assumption_row
 from .probability import (
     Test,
     TestEventAssignment,
+    _integer,
     pr_state,
     pr_state_cond,
     pr_test_cond,
@@ -190,16 +191,10 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GeneratorKind(self.kind))
-        if self.n < 1:
-            raise ValidationError(f"n must be at least 1, got {self.n}")
-        if self.local_dim < 2:
-            raise ValidationError(f"local_dim must be at least 2, got {self.local_dim}")
-        if self.window < 1:
-            raise ValidationError(f"window must be at least 1, got {self.window}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.outcomes is not None and self.outcomes < 2:
-            raise ValidationError(f"outcomes must be at least 2, got {self.outcomes}")
+        for name, low in (("n", 1), ("local_dim", 2), ("window", 1), ("seed", 0), ("outcomes", 2)):
+            value = getattr(self, name)
+            if value is not None or name != "outcomes":  # outcomes=None: a seeded size per slot
+                object.__setattr__(self, name, _integer(value, name, low))
 
 
 def _spectrum_size(spec: GeneratorSpec, rng: np.random.Generator, maximum: int) -> int:

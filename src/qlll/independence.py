@@ -17,22 +17,13 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, trace
 from .probability import (
     TestEventAssignment,
     _clamp_probability,
+    _ordered,
     _ratio,
-    _slot_index,
     _test_cond,
     check_index_set,
     pr_test_cond,
     pr_test_marginal,
 )
-
-
-def _before_target(a: TestEventAssignment, i: int, K: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """Target slot *i* and index set *K*, once *K* is known to lie strictly before *i*."""
-    K = check_index_set(K, a.n)
-    i = _slot_index(i, a.n, "target index")
-    if K and K[-1] >= i:
-        raise ValidationError(f"conditioning slots {list(K)} must lie strictly before target {i}")
-    return i, K
 
 
 def _decide(lhs: float, rhs: float, tol: ToleranceConfig) -> tuple[float, bool]:
@@ -44,7 +35,7 @@ def _difference(
     a: TestEventAssignment, i: int, K: Iterable[int], J: Iterable[int] | None, tol: ToleranceConfig
 ) -> tuple[float, bool]:
     """``|Pr[E_i | E_K] - Pr[E_i | E_{K-J}]|`` and whether it is within ``tol.ind``."""
-    i, K = _before_target(a, i, K)
+    K, (i,) = _ordered(K, (i,), a.n)
     J = K if J is None else check_index_set(J, a.n)
     if not set(J) <= set(K):
         raise ValidationError(f"J {list(J)} must be a subset of K {list(K)}")
@@ -56,7 +47,7 @@ def _neg_difference(
     a: TestEventAssignment, i: int, K: Iterable[int], tol: ToleranceConfig
 ) -> tuple[float, bool]:
     """``|Pr[E_i | not-E_K] - Pr[E_i]|`` and whether it is within ``tol.ind``."""
-    i, K = _before_target(a, i, K)
+    K, (i,) = _ordered(K, (i,), a.n)
     conditional = _test_cond(a, K, (i,), True, tol)
     return _decide(conditional, pr_test_marginal(a, (i,), tol), tol)
 
@@ -185,13 +176,17 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
     Cost is one pair of probability queries per (target, prefix) pair.  Each
     target folds its prefixes in order (any False wins, then any undefined,
     else True), so ``table[(k, l)]`` covers every prefix of length <= l and
-    the table is antitone in l by construction.  One ``_PrefixWalk`` then
-    reads the checks' fields; it needs an event at every slot, n = 1 too.
+    the table is antitone in l by construction.  One pass over the slots reads
+    slot k's marginal and lemma value from one ``_PrefixWalk``, decides row k,
+    then advances the walk; it needs an event at every slot, n = 1 too.
     """
     n = a.n
     table: dict[tuple[int, int], bool | None] = {}
     s = [0] * n
-    for k in range(2, n + 1):
+    walk, marginals, lemma = _PrefixWalk(a), [], []
+    for k in range(1, n + 1):
+        marginals.append(walk.marginal(a, tol))
+        lemma.append(walk.conditional(a, k - 1, tol))
         state: bool | None = True
         for l in range(1, k):
             try:
@@ -203,12 +198,8 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
             table[(k, l)] = state
             if state is True:
                 s[k - 1] = l
+        walk.advance(a)
     # each target's True entries are exactly l = 1..s_k, so its largest
     # dependent k - l sits at l = s_k + 1
     d_min = max(k - 1 - s[k - 1] for k in range(1, n + 1))
-    walk, marginals, lemma = _PrefixWalk(a), [], []
-    for i in range(1, n + 1):
-        marginals.append(walk.marginal(a, tol))
-        lemma.append(walk.conditional(a, i - 1, tol))
-        walk.advance(a)
     return DependenceProfile(tuple(s), table, d_min, tuple(marginals), tuple(lemma), walk.avoided(tol), a, tol)

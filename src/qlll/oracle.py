@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EnumerationCapError, InternalConsistencyError, ValidationError
+from .errors import EnumerationCapError, InternalConsistencyError
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .probability import TestEventAssignment, _clamp_probability, check_index_set
+from .probability import TestEventAssignment, _clamp_probability, _integer, check_index_set
 
 DEFAULT_ENUM_CAP = 10**6
 SAMPLER_ALGORITHM = "numpy:PCG64"
@@ -171,11 +171,7 @@ def sample_trajectories(
         standard error 0.0.
     """
     K = check_index_set(K, a.n)
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be positive, got {n_samples}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed", 0)
     starts = range(0, n_samples, _CHUNK)
     streams = np.random.SeedSequence(seed).spawn(len(starts))
     successes = sum(

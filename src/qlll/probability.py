@@ -158,26 +158,39 @@ class Test:
         return len(self.measurements)
 
 
-def _slot_index(i, n: int, what: str = "index") -> int:
-    """*i* as a slot in 1..*n*: an int or numpy integer, never a bool, float or string."""
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """*value* as an int from *low* (to *high* if given): numpy integers pass; bools, floats and strings do not."""
     try:
-        index = operator.index(i)
+        number = operator.index(value)
     except TypeError:
-        index = None
-    if index is None or isinstance(i, bool):
-        raise ValidationError(f"{what} {i!r} is not an integer")
-    if not (1 <= index <= n):
-        raise ValidationError(f"{what} {index} outside 1..{n}")
-    return index
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    if high is not None and not (low <= number <= high):
+        raise ValidationError(f"{what} {number} outside {low}..{high}")
+    if number < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValidationError(f"{what} must be {bound}, got {number}")
+    return number
 
 
 def check_index_set(indices: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate a strictly increasing tuple of 1-based slot indices."""
     # a plain int in range passes without a call: a profile validates O(n^3) indices
-    out = tuple(i if type(i) is int and 1 <= i <= n else _slot_index(i, n) for i in indices)
+    out = tuple(i if type(i) is int and 1 <= i <= n else _integer(i, "index", 1, n) for i in indices)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValidationError(f"index set {list(out)} must be strictly increasing")
     return out
+
+
+def _ordered(K: Iterable[int], L: Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index sets *K* and *L*, once *K* is known to lie strictly before *L*."""
+    K, L = check_index_set(K, n), check_index_set(L, n)
+    if K and L and K[-1] >= L[0]:
+        raise BadOrderingError(
+            f"conditioning slots {list(K)} must lie strictly before {list(L)}", K=list(K), L=list(L)
+        )
+    return K, L
 
 
 class TestEventAssignment:
@@ -197,7 +210,7 @@ class TestEventAssignment:
 
     def _slot(self, i: int, e: Event) -> int:
         """Slot *i* as an int, once *e* is known to be an event of the measurement there."""
-        i = _slot_index(i, self.n, "assignment index")
+        i = _integer(i, "assignment index", 1, self.n)
         if e.measurement != self.test.measurements[i - 1]:
             raise ValidationError(
                 f"event at slot {i} is defined by measurement "
@@ -215,7 +228,7 @@ class TestEventAssignment:
     def event(self, i: int) -> Event:
         # a plain int is read as is: _padded and _PrefixWalk read every slot this way
         if type(i) is not int:
-            i = _slot_index(i, self.n, "assignment index")
+            i = _integer(i, "assignment index", 1, self.n)
         try:
             return self.events[i]
         except KeyError:
@@ -224,7 +237,7 @@ class TestEventAssignment:
     def with_event(self, i: int, event: Event) -> "TestEventAssignment":
         """A copy with *event* at slot *i*: the same test and every other event."""
         # checked first, so that 2.0 or True cannot stand in for a slot already assigned
-        i = _slot_index(i, self.n, "assignment index")
+        i = _integer(i, "assignment index", 1, self.n)
         return TestEventAssignment(self.test, {**self.events, i: event})
 
     def __repr__(self) -> str:
@@ -283,12 +296,5 @@ def pr_test_cond(
     ConditionOnZeroError
         If the conditioning marginal is at most ``tol.prob``.
     """
-    K = check_index_set(K, a.n)
-    L = check_index_set(L, a.n)
-    if K and L and K[-1] >= L[0]:
-        raise BadOrderingError(
-            f"conditioning slots {list(K)} must lie strictly before {list(L)}",
-            K=list(K),
-            L=list(L),
-        )
+    K, L = _ordered(K, L, a.n)
     return _test_cond(a, K, L, False, tol)

@@ -417,9 +417,19 @@ def test_indep_neg_evaluates_each_probability_once(capsys, ref_file, monkeypatch
 
 
 def test_indep_neg_rejects_condition_after_target(capsys, ref_file):
+    # indep checks slot order by pr_test_cond's rule, so with its error type
     code, doc = run(capsys, "indep", "--instance", ref_file, "--neg", "--i", "1", "--K", "2")
     assert code == 2
-    assert doc["error"]["type"] == "Validation"
+    assert doc["error"]["type"] == "BadOrdering"
+
+
+@pytest.mark.parametrize("neg", [["--neg"], []], ids=["neg", "plain"])
+def test_indep_rejects_condition_at_or_after_target(capsys, ref_file, neg):
+    for K in ("1", "2"):
+        code, doc = run(capsys, "indep", "--instance", ref_file, *neg, "--i", "1", "--K", K)
+        assert code == 2
+        assert doc["error"]["type"] == "BadOrdering"
+        assert doc["error"]["message"] == f"conditioning slots [{K}] must lie strictly before [1]"
 
 
 @pytest.mark.parametrize("kind,flag,value", [
