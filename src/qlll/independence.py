@@ -176,9 +176,9 @@ def compute_profile(a: TestEventAssignment, tol: ToleranceConfig = DEFAULT_TOL) 
     Cost is one pair of probability queries per (target, prefix) pair.  Each
     target folds its prefixes in order (any False wins, then any undefined,
     else True), so ``table[(k, l)]`` covers every prefix of length <= l and
-    the table is antitone in l by construction.  One pass over the slots reads
-    slot k's marginal and lemma value from one ``_PrefixWalk``, decides row k,
-    then advances the walk; it needs an event at every slot, n = 1 too.
+    the table is antitone in l by construction.  One pass over the slots k reads
+    ``_PrefixWalk``'s marginal and lemma value at k, decides row k and advances
+    the walk; it needs an event at every slot, n = 1 too.
     """
     n = a.n
     table: dict[tuple[int, int], bool | None] = {}

@@ -8,6 +8,7 @@ threads.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -26,6 +27,14 @@ from .errors import (
 
 DEFAULT_DIM_CAP = 64
 DIM_CAP_ENV = "QLLL_DIM_CAP"
+
+
+def _real(value, what: str) -> float:
+    """*value* as a float: ints and numpy floats pass; bools and strings do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} {value!r} is not a real number")
+    return float(value)
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -60,11 +69,10 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(
-                    f"tolerance {f.name!r} must be strictly positive, got {value!r}"
-                )
+            value = _real(getattr(self, f.name), f"tolerance {f.name!r}")
+            if not value > 0:
+                raise ValidationError(f"tolerance {f.name!r} must be strictly positive, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import BadPError, ValidationError
 from .independence import DependenceProfile, compute_profile
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, _real
 from .probability import TestEventAssignment
 
 
@@ -29,7 +29,7 @@ class LLLInstance:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "x", tuple(_real(v, f"weight x_{i}") for i, v in enumerate(self.x, start=1)))
         n = self.assignment.n
         if len(self.x) != n:
             raise ValidationError(f"need one weight per slot: got {len(self.x)}, test has {n}")
@@ -140,7 +140,7 @@ def check_symmetric(
     it.  A condition value within ``tol.prob`` of 1 is "boundary", and a
     "pass" needs Pr[no event] to exceed ``tol.prob``.
     """
-    p = None if p is None else float(p)
+    p = None if p is None else _real(p, "supplied p")
     if p is not None and not (0.0 <= p <= 1.0):  # NaN and infinities fail it too
         raise BadPError(f"supplied p={p!r} is not a finite probability in [0, 1]")
     if profile is None:

@@ -89,9 +89,10 @@ def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = 
     return _clamp_probability(_read(rho.matrix, list(_channels(rho, seq))), tol)
 
 
-def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, **detail) -> float:
+def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, resume=None, **detail) -> float:
     # One walk: the last *given* channel is read for the denominator, then applied,
     # and the state walks on through *then* for the numerator (the denominator if none).
+    # An empty *given* reads tr(sigma), and *then* starts at *resume* when it is given.
     given = list(given)
     sigma = _walk(sigma, given[:-1])
     denom = _clamp_probability(_read(sigma, given[-1:]), tol)
@@ -100,7 +101,9 @@ def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, **detail) -> f
             f"{subject} probability {denom!r} <= {tol.prob!r}", denominator=denom, **detail
         )
     then = list(then)
-    num = _clamp_probability(_read(_walk(sigma, given[-1:]), then), tol) if then else denom
+    if then and resume is None:
+        resume = _walk(sigma, given[-1:])
+    num = _clamp_probability(_read(resume, then), tol) if then else denom
     return _ratio(num, denom, tol)
 
 
@@ -187,9 +190,7 @@ def _ordered(K: Iterable[int], L: Iterable[int], n: int) -> tuple[tuple[int, ...
     """Index sets *K* and *L*, once *K* is known to lie strictly before *L*."""
     K, L = check_index_set(K, n), check_index_set(L, n)
     if K and L and K[-1] >= L[0]:
-        raise BadOrderingError(
-            f"conditioning slots {list(K)} must lie strictly before {list(L)}", K=list(K), L=list(L)
-        )
+        raise BadOrderingError(f"conditioning slots {list(K)} must lie strictly before {list(L)}", K=list(K), L=list(L))
     return K, L
 
 
@@ -257,11 +258,12 @@ def _padded(a: TestEventAssignment, K: tuple[int, ...], miss: bool, start: int) 
 
 def _test_cond(a: TestEventAssignment, K, L, miss: bool, tol: ToleranceConfig) -> float:
     """Pr[events at *L* | events at *K*], or | their complements if *miss*."""
-    start = K[0] - 1 if K else 0  # an empty K divides by tr(tau_0) = tr(rho)
-    given = _padded(a, K, miss, start)
-    then = _padded(a, L, False, start + len(given))
+    # an empty K divides by tr(tau_0) = tr(rho), and its numerator resumes at the tau before min(L)
+    start, after = (K[0] - 1, K[-1]) if K else (0, L[0] - 1 if L else 0)
+    resume = None if K else a.test._tau[after]
+    given, then = _padded(a, K, miss, start), _padded(a, L, False, after)
     subject = f"conditioning events at slots {list(K)} have"
-    return _cond(a.test._tau[start], given, then, tol, subject, K=list(K))
+    return _cond(a.test._tau[start], given, then, tol, subject, resume, K=list(K))
 
 
 def pr_test_marginal(a: TestEventAssignment, K: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -284,10 +286,11 @@ def pr_test_cond(
 ) -> float:
     """Conditional probability of the events at *L* given those at *K*.
 
-    Requires ``max(K) < min(L)``; an empty *K* has denominator ``tr(rho)``,
-    one up to rounding.  The padded sequence of ``K + L`` is walked once:
-    slot ``max(K)`` gives the conditioning marginal (the denominator)
-    partway through, and the walk continues to the numerator.
+    Requires ``max(K) < min(L)``.  The padded sequence of ``K + L`` is
+    walked once: slot ``max(K)`` gives the conditioning marginal (the
+    denominator) partway through, and the walk continues to the numerator.
+    An empty *K* divides by ``tr(rho)``, one up to rounding, and its
+    numerator is ``pr_test_marginal(a, L)``'s walk from ``tau_{min(L)-1}``.
 
     Raises
     ------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ def test_spec_rejects_negative_seed():
     # numpy's default_rng would refuse it later with a bare ValueError
     with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
         GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, seed=-1)
+
+
+@pytest.mark.parametrize("field", ["n", "local_dim", "window", "seed", "outcomes"])
+def test_spec_fields_must_be_integers(field):
+    # n=True used to build n = 1, and n=2.5 or outcomes=2.5 ended in a bare
+    # TypeError; outcomes=None is the seeded spectrum size, not a bad value
+    bads = [2.5, True, np.True_, "3"] + ([] if field == "outcomes" else [None])
+    for bad in bads:
+        with pytest.raises(ValidationError, match=f"{field} {re.escape(repr(bad))} is not an integer"):
+            GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, **{field: bad})
+    spec = GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, **{field: np.int64(3)})
+    assert spec == GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, **{field: 3})
+    assert type(getattr(spec, field)) is int
 
 
 # every spec field, at a base value and at one that changes any family reading it;

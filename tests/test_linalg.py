@@ -40,6 +40,16 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(herm=-1e-12)
 
 
+def test_tolerance_config_refuses_bools_and_strings():
+    # ToleranceConfig(prob=True) used to read prob = 1
+    for bad in (True, np.True_, "1e-9", None):
+        with pytest.raises(ValidationError, match="tolerance 'prob' .* is not a real number"):
+            ToleranceConfig(prob=bad)
+    loose = ToleranceConfig(prob=np.float32(1e-6), ind=1)
+    assert (loose.prob, loose.ind) == (float(np.float32(1e-6)), 1.0)
+    assert (type(loose.prob), type(loose.ind)) == (float, float)
+
+
 def test_tolerance_config_frozen():
     with pytest.raises(Exception):
         DEFAULT_TOL.prob = 1.0  # type: ignore[misc]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,24 @@ def test_instance_weight_validation(anchor):
     with pytest.raises(ValidationError):
         LLLInstance(anchor, (0.5,))
     LLLInstance(anchor, (1.0, 1.0))  # closed upper end is allowed
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, np.True_], ids=["str", "bool", "numpy-bool"])
+def test_weights_and_p_must_be_real_numbers(anchor, bad):
+    # "0.5" and True used to pass through float(): a weight of 0.5 or 1.0, p = 1.0
+    with pytest.raises(ValidationError, match=f"weight x_1 {re.escape(repr(bad))} is not a real number"):
+        LLLInstance(anchor, (bad, 0.5))
+    with pytest.raises(ValidationError, match=f"supplied p {re.escape(repr(bad))} is not a real number"):
+        check_symmetric(anchor, bad)
+
+
+def test_numpy_weights_and_p_read_as_floats(anchor):
+    inst = LLLInstance(anchor, (np.float32(0.5), np.float64(0.25)))
+    assert inst.x == (0.5, 0.25) and all(type(v) is float for v in inst.x)
+    assert LLLInstance(anchor, (1, 1)).x == (1.0, 1.0)
+    with pytest.raises(ValidationError, match="weight x_1 None is not a real number"):
+        LLLInstance(anchor, (None, 0.5))
+    assert check_symmetric(anchor, np.float32(0.5)) == check_symmetric(anchor, 0.5)
 
 
 def test_instance_requires_every_slot_assigned():

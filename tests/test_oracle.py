@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import MappingProxyType
 
@@ -257,6 +258,28 @@ def test_sampler_empty_selection():
 def test_sampler_rejects_bad_sample_count(pool):
     with pytest.raises(ValidationError):
         sample_trajectories(pool[0], (1,), n_samples=0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [10.7, 2.0, True, np.True_, "3", None], ids=["float", "integral-float", "bool", "numpy-bool", "str", "none"]
+)
+def test_sampler_counts_and_seeds_must_be_integers(pool, bad):
+    # n_samples=10.7 used to draw 10 trajectories, seed=True came back as
+    # "seed": true, and seed=1.5 ended in a bare TypeError
+    probes = {"n_samples": dict(n_samples=bad, seed=0), "seed": dict(n_samples=10, seed=bad)}
+    for name, kwargs in probes.items():
+        with pytest.raises(ValidationError, match=f"{name} {re.escape(repr(bad))} is not an integer"):
+            sample_trajectories(pool[0], (1,), **kwargs)
+
+
+def test_sampler_reads_numpy_integers_as_ints(pool):
+    est = sample_trajectories(pool[0], (1,), n_samples=np.int32(100), seed=np.uint8(3))
+    assert est == sample_trajectories(pool[0], (1,), n_samples=100, seed=3)
+    assert (type(est.n_samples), type(est.seed)) == (int, int)
+    with pytest.raises(ValidationError, match="n_samples must be at least 1, got 0"):
+        sample_trajectories(pool[0], (1,), n_samples=np.int64(0), seed=0)
+    with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+        sample_trajectories(pool[0], (1,), n_samples=10, seed=np.int8(-1))
 
 
 def test_sample_estimate_json():

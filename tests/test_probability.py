@@ -424,17 +424,17 @@ def test_state_cond_matches_two_walk_definition(pool40):
 
 def test_test_cond_walks_max_L_channels(pool40, monkeypatch):
     # a test applies its n - 1 complete channels once, when it is built, to walk
-    # tau.  A query then starts at tau_{k-1}, k = K[0] (1 for an empty K), applies
-    # the channels of slots k..m-1 and reads slot m's as an effect: m = max(L),
-    # or max(K) when the condition has probability zero.  A nonempty K reads its
-    # denominator; an empty one takes tr(rho).
+    # tau.  A query then starts at tau_{k-1}, k = K[0] (min(L) for an empty K),
+    # applies the channels of slots k..m-1 and reads slot m's as an effect:
+    # m = max(L), or max(K) when the condition has probability zero.  A nonempty
+    # K reads its denominator; an empty one takes tr(rho), walking no channel.
     calls = helpers.count_channel_work(monkeypatch)
     for a in (v for a0 in pool40 for v in _variants(a0)):
         calls.clear()
         fresh = TestEventAssignment(Test(a.test.rho, a.test.measurements), a.events)
         assert (calls.count("__call__"), calls.count("trace_of")) == (a.n - 1, 0)
         for K, L in _ordered_pairs(a.n):
-            first = K[0] if K else 1
+            first = K[0] if K else L[0]
             calls.clear()
             try:
                 pr_test_cond(fresh, K, L)

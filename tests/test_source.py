@@ -112,6 +112,28 @@ def _functions(tree: ast.Module):
             yield from ((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
 
 
+def _call_sites(wanted) -> list[str]:
+    """``file:function`` of every library call whose callee *wanted* accepts (``<module>`` outside functions)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): qualname for qualname, func in _functions(tree) for node in ast.walk(func)}
+        found += [
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and wanted(node.func)
+        ]
+    return found
+
+
+def test_each_argument_rule_has_one_home():
+    # the integer rule (operator.index, bools refused) and the slot-order rule
+    # are each said once, so a second copy cannot drift from the first
+    index = _call_sites(lambda f: ast.unparse(f) in {"operator.index", "index"})
+    assert index == ["probability.py:_integer"]
+    assert _call_sites(lambda f: ast.unparse(f) == "BadOrderingError") == ["probability.py:_ordered"]
+
+
 def test_walks_start_at_tau_and_read_their_last_channel():
     # every probability reads its last channel as an effect (trace_of), so
     # trace() only ever sees a state already walked; test-relative walks start
