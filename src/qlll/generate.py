@@ -190,7 +190,11 @@ class GeneratorSpec:
     outcomes: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", GeneratorKind(self.kind))
+        except ValueError:
+            kinds = ", ".join(kind.value for kind in GeneratorKind)
+            raise ValidationError(f"unknown generator kind {self.kind!r}; the kinds are {kinds}") from None
         for name, low in (("n", 1), ("local_dim", 2), ("window", 1), ("seed", 0), ("outcomes", 2)):
             value = getattr(self, name)
             if value is not None or name != "outcomes":  # outcomes=None: a seeded size per slot

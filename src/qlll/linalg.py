@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,15 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the matrix, computed when first read; both arrays
+        are read-only, so every reader shares them."""
+        values, vectors = np.linalg.eigh(self.matrix)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
 
 # finite entries near the float limit overflow to inf in the residuals and

@@ -51,11 +51,14 @@ def enumerate_probability(
 
     Raises
     ------
+    ValidationError
+        When *cap* is not an integer of at least 1.
     EnumerationCapError
         When the full outcome grid of the horizon exceeds *cap*, whatever the
         events at *K* exclude.
     """
     K = check_index_set(K, a.n)
+    cap = _integer(cap, "cap", 1)
     horizon = a.test.measurements[: max(K, default=0)]
     choices = [
         [lab for lab in m.spectrum if i not in K or lab in a.event(i).outcomes]
@@ -93,15 +96,21 @@ class SampleEstimate:
 def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) -> int:
     """Walk *size* state-vector trajectories in one batch; return the success count.
 
+    The start eigenvectors come from ``rho``'s decomposition, computed once per
+    state (``DensityOperator.eigh``), and each start is drawn as each outcome
+    is: the count of normalized cumulative weights at or below a uniform u.
     ``table`` holds one state per distinct live history; each live trajectory
     keeps its row in ``which`` and its batch position in ``alive``, so it
     reads the same uniforms as in a walk of the whole batch.
     """
-    values, vectors = np.linalg.eigh(a.test.rho.matrix)
+    values, vectors = a.test.rho.eigh
     cum = np.clip(values, 0.0, None)
     for j in range(1, len(cum)):
         cum[j] += cum[j - 1]
-    which = np.searchsorted(cum / cum[-1], rng.random(size), side="right")
+    u = rng.random(size)
+    which = np.zeros(size, dtype=np.intp)
+    for c in (cum / cum[-1])[:-1]:
+        which += c <= u
     table = vectors.T
     alive = np.arange(size)
     for step in range(1, max(K, default=0) + 1):
@@ -125,18 +134,19 @@ def _sample_chunk(a: TestEventAssignment, K: tuple[int, ...], size: int, rng) ->
             )
         cum /= cum[:, -1:]
         # draw the first outcome whose cumulative weight passes u: the last column
-        # is 1.0 > u and cum never decreases, so that is the count of columns <= u
+        # is 1.0 > u and cum never decreases, so that is the count of columns <= u;
+        # codes number the drawn branches, row * k + outcome
         u = rng.random(size)[alive]
-        drawn = np.zeros(len(alive), dtype=np.intp)
+        codes = which * k
         for j in range(k - 1):
-            drawn += cum[:, j][which] <= u
+            codes += cum[:, j][which] <= u
         if step in K:
-            inside = np.array([lab in a.event(step).outcomes for lab in m.spectrum])[drawn]
-            alive, which, drawn = alive[inside], which[inside], drawn[inside]
+            inside = np.tile([lab in a.event(step).outcomes for lab in m.spectrum], len(table))
+            kept = np.flatnonzero(inside[codes])
+            alive, codes = alive[kept], codes[kept]
             if not len(alive):
                 return 0
         # one table row per drawn branch, numbered in branch order
-        codes = which * k + drawn
         used = np.zeros(len(branches), dtype=bool)
         used[codes] = True
         picked = np.flatnonzero(used)

@@ -129,7 +129,8 @@ def test_spec_validation():
         GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, outcomes=1)
     coerced = GeneratorSpec(kind="tensor-product")
     assert coerced.kind is GeneratorKind.TENSOR_PRODUCT
-    with pytest.raises(ValueError):
+    # a typed error, so a library caller can catch it as QlllError
+    with pytest.raises(ValidationError, match="unknown generator kind 'no-such-kind'; the kinds are paper-examples, "):
         GeneratorSpec(kind="no-such-kind")
 
 

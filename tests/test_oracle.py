@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from types import MappingProxyType
@@ -44,6 +45,20 @@ def test_enumeration_cap():
         enumerate_probability(a, (a.n,), cap=2)
     assert exc.value.detail["cap"] == 2
     assert exc.value.detail["grid"] > 2
+    assert enumerate_probability(a, (a.n,), cap=np.int64(10**6)) == enumerate_probability(a, (a.n,))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("10", "cap '10' is not an integer"), (True, "cap True is not an integer"),
+     (2.5, "cap 2.5 is not an integer"), (0, "cap must be at least 1, got 0")],
+    ids=["str", "bool", "float", "zero"],
+)
+def test_enumeration_cap_must_be_a_positive_integer(pool, bad, message):
+    # cap="10" used to end in a bare TypeError, True read as a cap of 1, and 0
+    # as a cap that every horizon exceeds
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        enumerate_probability(pool[0], (1,), cap=bad)
 
 
 def test_enumeration_degenerate_index_sets(pool):
@@ -127,6 +142,22 @@ def test_sampler_draws_match_the_reference_step(pool, monkeypatch):
     assert len({est.estimate for est in got}) > len(runs) // 4
 
 
+def test_sampler_estimates_are_pinned_bit_for_bit(pool):
+    # repr writes each float's shortest form, so any changed draw changes the digest
+    rng = suite_rng(93, 0)
+    runs = []
+    for a in pool:
+        slots = tuple(range(1, a.n + 1))
+        for K in (slots, rand_subset(rng, slots, min_size=1)):
+            runs += [(a, K, 2000, seed) for seed in (0, 1, 12345)]
+    a = pool[2]
+    runs.append((a, tuple(range(1, a.n + 1)), _CHUNK + 1, 3))
+    got = repr([sample_trajectories(*run) for run in runs])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "db02bb37f6845489759dc262ff0a42333310151da27e911723733c211fc8bbe3"
+    )
+
+
 def _complete(a):
     """*a* with the complete event at every slot."""
     return TestEventAssignment(a.test, {i: complete_event(m) for i, m in enumerate(a.test.measurements, 1)})
@@ -147,6 +178,45 @@ def test_sampler_draws_match_the_reference_step_at_the_edges(pool, monkeypatch):
     assert got == _reference_estimates(monkeypatch, runs)
     assert {est.estimate for est in got[3::5]} == {0.0}
     assert {est.estimate for est in got[4::5]} == {1.0}
+
+
+def test_start_draw_matches_the_reference_at_clipped_and_zero_eigenvalues(monkeypatch):
+    # a d=16 start with two negative eigenvalues (clipped to weight 0) and six
+    # exact zeros: eight leading zero weights, which a uniform of 0.0 ties.  Slot
+    # 1 measures the basis that diagonalizes rho, and its event holds the
+    # weighted vectors, so a zero-weight start would leave at once
+    a = generate(GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=3, local_dim=2, seed=4))
+    weights = suite_rng(94, 0).dirichlet(np.ones(8)) * (1 + 7e-10)
+    spectrum = suite_rng(94, 1).permutation(np.concatenate([[-4e-10, -3e-10], np.zeros(6), weights]))
+    rho = validate_density(np.diag(spectrum))
+    assert rho.dim == 16 and (rho.eigh[0] < 0).sum() == 2 and (rho.eigh[0] == 0).sum() == 6
+    basis = np.eye(16)
+    z = Measurement("z", {str(i): np.outer(basis[i], basis[i]) for i in range(16)})
+    weighted = Event(z, {str(i) for i in range(16) if spectrum[i] > 0})
+    events = {1: weighted, **{i + 1: e for i, e in a.events.items()}}
+    b = TestEventAssignment(Test(rho, (z, *a.test.measurements)), events)
+    slots = b.assigned()
+    for draws in (_ZeroDraws, lambda: np.random.default_rng(3)):
+        for K in (slots, slots[:1], (b.n,)):
+            assert oracle._sample_chunk(b, K, 700, draws()) == _reference_chunk(b, K, 700, draws())
+    assert oracle._sample_chunk(b, (1,), 700, _ZeroDraws()) == 700
+    runs = [(b, slots, 3000, seed) for seed in (0, 1, 12345)]
+    assert [sample_trajectories(*run) for run in runs] == _reference_estimates(monkeypatch, runs)
+
+
+def test_start_decomposition_is_computed_once_per_state(monkeypatch):
+    a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=3, local_dim=2, seed=8))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    K = a.assigned()
+    for n_samples, seed in ((100, 0), (100, 1), (_CHUNK + 1, 2)):
+        sample_trajectories(a, K, n_samples, seed)
+    assert len(calls) == 1
+    values, vectors = a.test.rho.eigh
+    assert not values.flags.writeable and not vectors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vectors[0, 0] = 0.0
 
 
 class _CountingDraws:
