@@ -36,10 +36,10 @@ class Measurement:
         test, so the name carries no semantics.
     kraus : mapping or iterable of (label, matrix)
         Outcome label -> measurement operator.  Iteration order defines the
-        spectrum order.  The family must satisfy the completeness relation
-        ``sum_m M_m^dagger M_m = I`` within ``tol.complete`` in max-norm;
-        violating it is a construction error because every downstream
-        probability assumes it.
+        spectrum order.  The measurement builds its complete channel, whose
+        effect ``sum_m M_m^dagger M_m`` must be ``I`` within ``tol.complete``
+        in max-norm; violating it is a construction error because every
+        downstream probability assumes it.
     tol : ToleranceConfig
 
     Attributes
@@ -81,26 +81,24 @@ class Measurement:
                     f"{dim} and {op.shape[0]}"
                 )
         check_dimension(dim)
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        # entries near the float limit overflow here; the residual is then
-        # inf or nan, which the check below rejects without a numpy warning
+        self._name = str(name)
+        self._dim = dim
+        self._spectrum = tuple(labels)
+        self._kraus = MappingProxyType(dict(zip(labels, ops)))
+        self._tol = tol
+        self._complete = super_operator_of(complete_event(self))
+        # entries near the float limit overflow in the effect; the residual is
+        # then inf or nan, which the check below rejects without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in ops:
-                total += op.conj().T @ op
-            residual = float(np.abs(total - np.eye(dim)).max())
+            residual = float(np.abs(self._complete._effect - np.eye(dim)).max())
         if not residual <= tol.complete:
             raise NotCompleteError(
                 f"measurement {name!r} violates completeness: "
                 f"max residual {residual:.3e} > {tol.complete:.1e}",
                 residual=residual,
             )
-        self._name = str(name)
-        self._dim = dim
-        self._spectrum = tuple(labels)
-        self._kraus = MappingProxyType(dict(zip(labels, ops)))
-        self._tol = tol
 
-    # read-only: every channel is built from these, after the checks above
+    # read-only: every channel is built from these
     @property
     def name(self) -> str:
         return self._name

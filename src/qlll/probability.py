@@ -8,9 +8,9 @@ slot and pad unmentioned slots with the complete event of that slot's
 measurement, which is what makes marginals and conditionals well defined
 here.  Order matters everywhere: conditioning sets must lie strictly before
 the events they condition.  Each channel is built once, by what it depends
-on: a test builds its slots' complete channels and ``tau``, an event its hit
-and miss channels.  Equal routes apply the same channels and read the same
-effect, so they give equal floats.
+on: a measurement builds its complete channel, a test only walks ``tau``
+through them, and an event builds its hit and miss channels.  Equal routes
+apply the same channels and read the same effect, so they give equal floats.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     MissingAssignmentError,
     ValidationError,
 )
-from .events import Event, Measurement, SuperOperator, complete_event, super_operator_of
+from .events import Event, Measurement, SuperOperator
 from .linalg import DEFAULT_TOL, DensityOperator, ToleranceConfig, trace
 
 
@@ -131,9 +131,9 @@ def pr_state_cond(
 class Test:
     """A state plus one measurement per time slot.
 
-    ``_complete`` holds each slot's complete channel and ``_tau[j]`` is rho
-    through those of slots 1..j (j < n); they hold no event, so every walk in
-    the test starts at the ``tau`` before its first unpadded slot.
+    ``_complete`` holds the measurements' own complete channels and ``_tau[j]``
+    is rho through those of slots 1..j (j < n); they hold no event, so every
+    walk in the test starts at the ``tau`` before its first unpadded slot.
     """
 
     __test__ = False  # keep pytest from collecting the library class
@@ -151,7 +151,7 @@ class Test:
                     f"measurement {m.name!r} has dimension {m.dim}, "
                     f"test state has {self.rho.dim}"
                 )
-        complete = tuple(super_operator_of(complete_event(m)) for m in self.measurements)
+        complete = tuple(m._complete for m in self.measurements)
         object.__setattr__(self, "_complete", complete)
         tau = accumulate(complete[:-1], lambda w, channel: channel(w), initial=self.rho.matrix)
         object.__setattr__(self, "_tau", tuple(tau))

@@ -488,7 +488,10 @@ def test_an_assignment_holds_only_its_test_and_events(pool40):
 
 def test_repeated_state_queries_build_each_effect_once(monkeypatch):
     # each event holds its hit channel, and the channel its effect, so a
-    # repeated bare-state query reads the effects built by the first
+    # repeated bare-state query reads the effects built by the first; the
+    # count starts after construction, where each measurement has built the
+    # effect of its complete channel to check completeness
+    a = generate(GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=3, local_dim=2, seed=1))
     built, original = [], SuperOperator._effect.func
 
     def counting(self):
@@ -498,7 +501,7 @@ def test_repeated_state_queries_build_each_effect_once(monkeypatch):
     effect = cached_property(counting)
     effect.__set_name__(SuperOperator, "_effect")
     monkeypatch.setattr(SuperOperator, "_effect", effect)
-    a = generate(GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=3, local_dim=2, seed=1))
+    assert all("_effect" in vars(m._complete) for m in a.test.measurements)
     seq = [a.event(i) for i in a.assigned()]
     assert len({pr_state(a.test.rho, seq) for _ in range(3)}) == 1
     assert len(built) == 1 and built[0] is seq[-1]._hit
