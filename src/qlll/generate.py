@@ -303,7 +303,7 @@ def generate(spec: GeneratorSpec) -> TestEventAssignment:
         GeneratorKind.TENSOR_PRODUCT: spec.n,
         GeneratorKind.SLIDING_WINDOW: spec.n + spec.window - 1,
     }.get(spec.kind, 1)
-    check_dimension(spec.local_dim**sites)
+    check_dimension(spec.local_dim, sites)
     rng = np.random.default_rng(spec.seed)
     measurements = [_SLOTS[spec.kind](spec, rng, i, sites) for i in range(1, spec.n + 1)]
     state = _product_state(sites, spec.local_dim, rng)

@@ -8,6 +8,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields
@@ -71,8 +72,8 @@ class ToleranceConfig:
     def __post_init__(self):
         for f in fields(self):
             value = _real(getattr(self, f.name), f"tolerance {f.name!r}")
-            if not value > 0:
-                raise ValidationError(f"tolerance {f.name!r} must be strictly positive, got {value!r}")
+            if not 0 < value < math.inf:  # an infinite tolerance would pass every check
+                raise ValidationError(f"tolerance {f.name!r} must be finite and strictly positive, got {value!r}")
             object.__setattr__(self, f.name, value)
 
 
@@ -98,14 +99,19 @@ def dimension_cap() -> int:
     return cap
 
 
-def check_dimension(dim: int) -> None:
-    cap = dimension_cap()
-    if dim > cap:
-        raise DimensionCapError(
-            f"dimension {dim} exceeds the cap {cap} (set {DIM_CAP_ENV} to raise it)",
-            dim=dim,
-            cap=cap,
-        )
+def check_dimension(dim: int, sites: int = 1) -> None:
+    """Refuse ``dim**sites`` above the cap, multiplying site by site so that no power past it is formed."""
+    cap, total = dimension_cap(), 1
+    for _ in range(sites):
+        total *= dim
+        if total > cap:
+            space = f"dimension {dim}" if sites == 1 else f"local_dim {dim} on {sites} sites"
+            raise DimensionCapError(
+                f"{space} exceeds the cap {cap} (set {DIM_CAP_ENV} to raise it)",
+                dim=dim,
+                sites=sites,
+                cap=cap,
+            )
 
 
 def as_matrix(data) -> np.ndarray:
@@ -141,6 +147,14 @@ class DensityOperator:
     """A validated unit-trace density operator; build it with :func:`validate_density`."""
 
     matrix: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DensityOperator):
+            return NotImplemented
+        return self is other or np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(self.dim)  # equal states have equal dimensions
 
     @property
     def dim(self) -> int:

@@ -356,6 +356,15 @@ def test_gen_respects_dimension_cap(capsys, monkeypatch):
     assert doc["error"]["type"] == "DimensionCapExceeded"
 
 
+def test_gen_reports_a_dimension_past_the_printable_integers(capsys, monkeypatch):
+    # 2**20000 has more than the 4300 digits str() prints, so the cap is decided without forming it
+    monkeypatch.delenv("QLLL_DIM_CAP", raising=False)
+    code, doc = run(capsys, "gen", "--kind", "tensor-product", "--n", "20000", "--seed", "0")
+    assert code == 2
+    assert doc["error"]["type"] == "DimensionCapExceeded"
+    assert doc["error"]["message"].startswith("local_dim 2 on 20000 sites exceeds the cap 64 ")
+
+
 def test_unreadable_instance_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

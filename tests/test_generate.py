@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import complemented, pool_spec, rarefy_events
-from qlll.errors import ConditionOnZeroError, ValidationError
+from qlll.errors import ConditionOnZeroError, DimensionCapError, ValidationError
 from qlll.events import complete_event
 from qlll.generate import (
     _READS,
@@ -173,6 +173,16 @@ def test_sliding_window_label_check_comes_before_the_dimension_cap():
     with pytest.raises(ValidationError, match="local_dim <= 9") as exc:
         generate(spec)
     assert exc.value.code == "Validation"
+
+
+@pytest.mark.parametrize("kind", [GeneratorKind.TENSOR_PRODUCT, GeneratorKind.SLIDING_WINDOW], ids=lambda k: k.value)
+def test_a_huge_site_count_is_refused_without_forming_its_dimension(kind, monkeypatch):
+    # 2**(10**9) would be a 125 MB integer, too long to print in the message
+    monkeypatch.delenv("QLLL_DIM_CAP", raising=False)
+    spec = GeneratorSpec(kind=kind, n=10**9, window=1, seed=0)
+    with pytest.raises(DimensionCapError, match="^local_dim 2 on 1000000000 sites exceeds the cap 64 ") as exc:
+        generate(spec)
+    assert exc.value.detail == {"dim": 2, "sites": 10**9, "cap": 64}
 
 
 def test_rarefy_caps_every_marginal():

@@ -38,6 +38,10 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(prob=0.0)
     with pytest.raises(ValidationError):
         ToleranceConfig(herm=-1e-12)
+    # an infinite tolerance passed every check: prob=inf read every hypothesis row as ok
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError, match="tolerance 'prob' must be finite and strictly positive"):
+            ToleranceConfig(prob=bad)
 
 
 def test_tolerance_config_refuses_bools_and_strings():

@@ -486,6 +486,20 @@ def test_an_assignment_holds_only_its_test_and_events(pool40):
                 assert vars(c).keys() == {"test", "events"}
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.TENSOR_PRODUCT, GeneratorKind.RANDOM_POVM], ids=lambda k: k.value)
+def test_states_and_tests_compare_by_value(kind):
+    # the generated == compared arrays and raised, and hash(rho) refused the array
+    a, b = (generate(GeneratorSpec(kind=kind, n=3, seed=1)) for _ in range(2))
+    other = generate(GeneratorSpec(kind=kind, n=3, seed=2))
+    assert a.test.rho is not b.test.rho and a.test is not b.test
+    assert a.test.rho == b.test.rho and hash(a.test.rho) == hash(b.test.rho)
+    assert a.test == b.test and hash(a.test) == hash(b.test)
+    assert a.test.rho != other.test.rho and a.test != other.test
+    assert len({a.test.rho, b.test.rho, other.test.rho}) == len({a.test, b.test, other.test}) == 2
+    assert Test(a.test.rho, other.test.measurements) != a.test
+    assert plus_state() != validate_density(np.eye(4) / 4)  # different dimensions
+
+
 def test_repeated_state_queries_build_each_effect_once(monkeypatch):
     # each event holds its hit channel, and the channel its effect, so a
     # repeated bare-state query reads the effects built by the first; the

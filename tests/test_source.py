@@ -55,12 +55,20 @@ def _names_used(name: str, wanted: set[str]) -> list[str]:
     ]
 
 
-def test_only_the_probability_layer_builds_channels():
-    # lll.py and independence.py read the channels the test and the events
-    # hold; building channels or complemented assignments there would rebuild
-    # them per query
-    builders = {"super_operator_of", "complement", "complete_event", "with_complemented"}
-    found = []
+def test_only_measurements_and_events_build_channels():
+    # a measurement builds its complete channel and an event its hit and miss
+    # channels; a test and every query read those, so building channels,
+    # complete events or complemented assignments elsewhere would rebuild them
+    def calls_to(name):
+        return _call_sites(lambda f: ast.unparse(f).split(".")[-1] == name)
+
+    assert sorted(calls_to("super_operator_of")) == [
+        "events.py:Event._hit",
+        "events.py:Event._miss",
+        "events.py:Measurement.__init__",
+    ]
+    found = [site for site in calls_to("complete_event") if site.startswith("probability.py:")]
+    builders = {"complement", "complete_event", "with_complemented"}
     for name in ("lll.py", "independence.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
         found += [f"{name}:{line} {called}" for line, called in _calls(tree) if called in builders]
