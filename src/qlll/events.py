@@ -26,6 +26,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, check_dimension
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Measurement:
     """A finite-outcome quantum measurement given by its operator family.
 
@@ -44,19 +45,24 @@ class Measurement:
 
     Attributes
     ----------
-    name, dim : str, int
-        Read-only.
     kraus : mapping of str to ndarray
-        Outcome label -> frozen operator, read-only.
+        Outcome label -> frozen operator, read-only, in spectrum order.
+    dim : int
+        Side of every operator.
     spectrum : tuple of str
-        Outcome labels in declaration order, read-only.
+        Outcome labels in declaration order.
     projective : bool
         True when every operator is a Hermitian idempotent and the family is
         pairwise orthogonal (decided when read, within the construction
         tolerance's ``tol.herm``).
     """
 
-    def __init__(self, name: str, kraus, tol: ToleranceConfig = DEFAULT_TOL):
+    name: str
+    kraus: Mapping[str, np.ndarray]
+    tol: ToleranceConfig = DEFAULT_TOL
+
+    def __post_init__(self):
+        name, kraus = self.name, self.kraus
         if isinstance(kraus, Mapping):
             items = list(kraus.items())
         else:
@@ -81,44 +87,26 @@ class Measurement:
                     f"{dim} and {op.shape[0]}"
                 )
         check_dimension(dim)
-        self._name = str(name)
-        self._dim = dim
-        self._spectrum = tuple(labels)
-        self._kraus = MappingProxyType(dict(zip(labels, ops)))
-        self._tol = tol
-        self._complete = super_operator_of(complete_event(self))
+        object.__setattr__(self, "name", str(name))
+        object.__setattr__(self, "kraus", MappingProxyType(dict(zip(labels, ops))))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "spectrum", tuple(labels))
+        object.__setattr__(self, "_complete", super_operator_of(complete_event(self)))
         # entries near the float limit overflow in the effect; the residual is
         # then inf or nan, which the check below rejects without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.abs(self._complete._effect - np.eye(dim)).max())
-        if not residual <= tol.complete:
+        if not residual <= self.tol.complete:
             raise NotCompleteError(
                 f"measurement {name!r} violates completeness: "
-                f"max residual {residual:.3e} > {tol.complete:.1e}",
+                f"max residual {residual:.3e} > {self.tol.complete:.1e}",
                 residual=residual,
             )
-
-    # read-only: every channel is built from these
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def spectrum(self) -> tuple[str, ...]:
-        return self._spectrum
-
-    @property
-    def kraus(self) -> Mapping[str, np.ndarray]:
-        return self._kraus
 
     @property
     def projective(self) -> bool:
         # no library path reads it, so it is decided when read, at the construction tolerance
-        return self._detect_projective(list(self._kraus.values()), self._tol)
+        return self._detect_projective(list(self.kraus.values()), self.tol)
 
     @staticmethod
     def _detect_projective(ops, tol: ToleranceConfig) -> bool:

@@ -16,7 +16,7 @@ apply the same channels and read the same effect, so they give equal floats.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -194,20 +194,26 @@ def _ordered(K: Iterable[int], L: Iterable[int], n: int) -> tuple[tuple[int, ...
     return K, L
 
 
+@dataclass(frozen=True)
 class TestEventAssignment:
     """Events assigned to (some) slots of a test.
 
     Each assigned event must be defined by the measurement sitting at its
     slot.  An assignment is only its ``test`` and its read-only ``events``,
-    which hold every channel its walks read.
+    which hold every channel its walks read, and compares by their values.
     """
 
     __test__ = False
 
-    def __init__(self, test: Test, events: Mapping[int, Event]):
-        self.test = test
-        checked = {self._slot(i, e): e for i, e in events.items()}
-        self.events = MappingProxyType(dict(sorted(checked.items())))
+    test: Test
+    events: Mapping[int, Event]
+
+    def __post_init__(self):
+        checked = {self._slot(i, e): e for i, e in self.events.items()}
+        object.__setattr__(self, "events", MappingProxyType(dict(sorted(checked.items()))))
+
+    def __hash__(self) -> int:
+        return hash(self.test)  # equal assignments have equal tests
 
     def _slot(self, i: int, e: Event) -> int:
         """Slot *i* as an int, once *e* is known to be an event of the measurement there."""
@@ -239,7 +245,7 @@ class TestEventAssignment:
         """A copy with *event* at slot *i*: the same test and every other event."""
         # checked first, so that 2.0 or True cannot stand in for a slot already assigned
         i = _integer(i, "assignment index", 1, self.n)
-        return TestEventAssignment(self.test, {**self.events, i: event})
+        return replace(self, events={**self.events, i: event})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {e!r}" for i, e in self.events.items())

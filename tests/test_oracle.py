@@ -268,9 +268,9 @@ def test_sampler_never_draws_a_zero_weight_outcome():
 def test_sampler_rejects_a_nan_born_weight():
     a = generate(GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, n=2, local_dim=2, seed=3))
     m = a.test.measurements[0]
-    # ``kraus`` is read-only; writing its private backing field is the only
-    # way past the completeness check in Measurement.__init__
-    m._kraus = MappingProxyType({**m.kraus, m.spectrum[0]: np.full((2, 2), np.nan)})
+    # a measurement is frozen; writing its field past the dataclass is the only
+    # way past the completeness check in Measurement.__post_init__
+    object.__setattr__(m, "kraus", MappingProxyType({**m.kraus, m.spectrum[0]: np.full((2, 2), np.nan)}))
     with pytest.raises(InternalConsistencyError) as exc:
         sample_trajectories(a, (1,), n_samples=100, seed=0)
     assert exc.value.detail["step"] == 1

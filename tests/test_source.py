@@ -65,7 +65,7 @@ def test_only_measurements_and_events_build_channels():
     assert sorted(calls_to("super_operator_of")) == [
         "events.py:Event._hit",
         "events.py:Event._miss",
-        "events.py:Measurement.__init__",
+        "events.py:Measurement.__post_init__",
     ]
     found = [site for site in calls_to("complete_event") if site.startswith("probability.py:")]
     builders = {"complement", "complete_event", "with_complemented"}
