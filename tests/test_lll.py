@@ -146,6 +146,11 @@ def test_symmetric_refuses_a_profile_of_another_assignment_or_tolerance():
     a, b = build_pool(2)
     with pytest.raises(ValidationError, match="another assignment"):
         check_symmetric(a, profile=compute_profile(b))
+    # the profile is refused by identity: an equal copy is another assignment
+    twin = a.with_event(1, a.event(1))
+    assert twin == a and twin is not a
+    with pytest.raises(ValidationError, match="another assignment"):
+        check_symmetric(a, profile=compute_profile(twin))
     loose = ToleranceConfig(prob=1e-6)
     with pytest.raises(ValidationError, match="other tolerances"):
         check_symmetric(a, profile=compute_profile(a, loose))

@@ -500,6 +500,25 @@ def test_states_and_tests_compare_by_value(kind):
     assert plus_state() != validate_density(np.eye(4) / 4)  # different dimensions
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.TENSOR_PRODUCT, GeneratorKind.RANDOM_POVM], ids=lambda k: k.value)
+def test_assignments_and_instances_compare_by_value(kind):
+    # assignments compared by identity, so generate(s) == generate(s) was False
+    # although their tests and event maps were equal
+    a, b = (generate(GeneratorSpec(kind=kind, n=3, seed=1)) for _ in range(2))
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != generate(GeneratorSpec(kind=kind, n=3, seed=2))
+    assert a != a.with_event(1, complement(a.event(1)))
+    x = (0.5,) * a.n
+    assert LLLInstance(a, x) == LLLInstance(b, x) and hash(LLLInstance(a, x)) == hash(LLLInstance(b, x))
+    assert a.with_event(1, a.event(1)) == a
+    m = a.test.measurements[0]
+    with pytest.raises(AttributeError):
+        a.test = b.test
+    with pytest.raises(AttributeError):
+        m.tol = DEFAULT_TOL
+
+
 def test_repeated_state_queries_build_each_effect_once(monkeypatch):
     # each event holds its hit channel, and the channel its effect, so a
     # repeated bare-state query reads the effects built by the first; the

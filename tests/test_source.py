@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import re
+from enum import Enum
 from pathlib import Path
 
 from qlll.cli import build_parser
@@ -72,6 +74,23 @@ def test_only_measurements_and_events_build_channels():
     for name in ("lll.py", "independence.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
         found += [f"{name}:{line} {called}" for line, called in _calls(tree) if called in builders]
+    assert found == []
+
+
+def test_every_library_class_is_a_frozen_dataclass():
+    # library values are immutable and compare by value; only exceptions,
+    # enums, the forward walk (it advances) and the argument parser are not
+    mutable = {"independence.py:_PrefixWalk", "cli.py:_Parser"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("qlll" if path.stem == "__init__" else f"qlll.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if cls is None or issubclass(cls, (Exception, Enum)) or f"{path.name}:{node.name}" in mutable:
+                continue
+            if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+                found.append(f"{path.name}:{node.name}")
     assert found == []
 
 
