@@ -46,6 +46,9 @@ from .probability import (
 )
 
 EXAMPLE_TOL = 1e-9
+# Kraus entries (slots x outcomes per slot x dim**2) a generated instance may
+# hold at the most: 160 MB of complex128, refused before any draw
+MAX_KRAUS_ENTRIES = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,23 @@ _READS = {
 }
 
 
+def _check_entries(spec: GeneratorSpec, dim: int) -> None:
+    """Refuse *spec* before any draw when its Kraus operators could exceed ``MAX_KRAUS_ENTRIES`` entries."""
+    k = spec.outcomes or 3  # a seeded size per slot is at most 3
+    outcomes = {
+        GeneratorKind.TENSOR_PRODUCT: min(k, spec.local_dim),
+        GeneratorKind.SLIDING_WINDOW: spec.local_dim**spec.window,
+        GeneratorKind.DEPENDENT_CHAIN: spec.local_dim,
+        GeneratorKind.RANDOM_PROJECTIVE: min(k, spec.local_dim),
+    }.get(spec.kind, k)
+    entries = spec.n * outcomes * dim**2
+    if entries > MAX_KRAUS_ENTRIES:
+        raise ValidationError(
+            f"{spec.kind.value} with n={spec.n} and up to {outcomes} outcomes at dimension {dim} "
+            f"holds up to {entries} Kraus entries, above the limit {MAX_KRAUS_ENTRIES}"
+        )
+
+
 def generate(spec: GeneratorSpec) -> TestEventAssignment:
     """Build the instance described by *spec* (deterministic in ``spec.seed``).
 
@@ -304,6 +324,7 @@ def generate(spec: GeneratorSpec) -> TestEventAssignment:
         GeneratorKind.SLIDING_WINDOW: spec.n + spec.window - 1,
     }.get(spec.kind, 1)
     check_dimension(spec.local_dim, sites)
+    _check_entries(spec, spec.local_dim**sites)
     rng = np.random.default_rng(spec.seed)
     measurements = [_SLOTS[spec.kind](spec, rng, i, sites) for i in range(1, spec.n + 1)]
     state = _product_state(sites, spec.local_dim, rng)

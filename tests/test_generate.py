@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import complemented, pool_spec, rarefy_events
 from qlll.errors import ConditionOnZeroError, DimensionCapError, ValidationError
 from qlll.events import complete_event
 from qlll.generate import (
+    MAX_KRAUS_ENTRIES,
     _READS,
     GeneratorKind,
     GeneratorSpec,
@@ -183,6 +185,26 @@ def test_a_huge_site_count_is_refused_without_forming_its_dimension(kind, monkey
     with pytest.raises(DimensionCapError, match="^local_dim 2 on 1000000000 sites exceeds the cap 64 ") as exc:
         generate(spec)
     assert exc.value.detail == {"dim": 2, "sites": 10**9, "cap": 64}
+
+
+@pytest.mark.parametrize("field", ["n", "outcomes"])
+def test_a_huge_single_space_spec_is_refused_before_any_draw(field, monkeypatch):
+    # one measurement per slot, or a billion operators in one, would be drawn for hours
+    monkeypatch.delenv("QLLL_DIM_CAP", raising=False)
+    spec = GeneratorSpec(kind=GeneratorKind.RANDOM_POVM, seed=0, **{field: 10**9})
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"above the limit {MAX_KRAUS_ENTRIES}$") as exc:
+        generate(spec)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == "Validation"
+
+
+def test_the_kraus_entry_limit_sits_well_above_the_largest_family_in_use():
+    # search-d64's sliding-window family holds 5 slots x 4 outcomes x 64**2 entries
+    spec = GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=5, local_dim=2, window=2, seed=0)
+    a = generate(spec)
+    entries = sum(len(m.kraus) * m.dim**2 for m in a.test.measurements)
+    assert entries == 81_920 and 100 * entries < MAX_KRAUS_ENTRIES
 
 
 def test_rarefy_caps_every_marginal():
