@@ -182,11 +182,12 @@ def sample_trajectories(
     """
     K = check_index_set(K, a.n)
     n_samples, seed = _integer(n_samples, "n_samples", 1), _integer(seed, "seed", 0)
-    starts = range(0, n_samples, _CHUNK)
-    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    # each chunk spawns its child when it starts: the same children as one
+    # spawn of them all, without holding one per chunk before the first draw
+    root = np.random.SeedSequence(seed)
     successes = sum(
-        _sample_chunk(a, K, min(_CHUNK, n_samples - start), np.random.default_rng(stream))
-        for start, stream in zip(starts, streams)
+        _sample_chunk(a, K, min(_CHUNK, n_samples - start), np.random.default_rng(root.spawn(1)[0]))
+        for start in range(0, n_samples, _CHUNK)
     )
     est = successes / n_samples
     std_error = math.sqrt(est * (1.0 - est) / n_samples)
