@@ -18,6 +18,7 @@ reproduces every matrix bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -44,7 +45,10 @@ def _float(value: Any) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ParseError(f"a {len(str(abs(value)))}-digit integer is beyond float range")
+        # counted without str(), which refuses integers past sys.get_int_max_str_digits()
+        digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one below it
+        digits += abs(value) >= 10**digits
+        raise ParseError(f"a {digits}-digit integer is beyond float range")
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -10,6 +10,7 @@ from qlll.generate import GeneratorKind, GeneratorSpec, generate
 from qlll.schemas import INSTANCE_SCHEMA
 from qlll.serialize import (
     dumps,
+    instance_from_dict,
     instance_to_dict,
     load_path,
     loads,
@@ -113,6 +114,22 @@ def test_parse_errors(mutate, message):
     mutate(doc)
     with pytest.raises(ParseError, match=message):
         loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("leaf", ["state", "kraus", "x"])
+@pytest.mark.parametrize("value", [10**5000, -(10**5000), 10**5000 - 1], ids=["5001", "minus-5001", "5000"])
+def test_integers_past_the_printable_digits_are_parse_errors(leaf, value):
+    # str() refuses integers past 4300 digits, so counting them with it raised a raw ValueError
+    doc = reference_doc()
+    if leaf == "state":
+        doc["state"][0][0][0] = value
+    elif leaf == "kraus":
+        doc["measurements"][0]["kraus"][0][0][0][0] = value
+    else:
+        doc["x"] = [value, 0.5]
+    digits = 5000 if value == 10**5000 - 1 else 5001
+    with pytest.raises(ParseError, match=f"^a {digits}-digit integer is beyond float range$"):
+        instance_from_dict(doc)
 
 
 @pytest.mark.parametrize(
