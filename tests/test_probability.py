@@ -395,6 +395,14 @@ def test_pool_answers_are_pinned_bit_for_bit(pool40):
     assert _answers_digest(pool40) == "ecc0ae6a6b20a1b65766c67e0d57f7dbe00c33a900a001c639e53812939821f2"
 
 
+def test_dense_pool_answers_are_pinned_bit_for_bit(pool40):
+    # the items whose operators hold no identity factor take the dense channel
+    # route, so their digest must not move when the site-local route does
+    dense = [a for t, a in enumerate(pool40) if helpers.pool_spec(t).kind is not GeneratorKind.TENSOR_PRODUCT]
+    assert len(dense) == 30
+    assert _answers_digest(dense) == "ff21d65baae8e7e8e076f7a749e497bdb001de804af48d4be3e0fdbb2fb86c10"
+
+
 def test_test_cond_matches_two_walk_definition(pool40):
     seen = set()
     for a0 in pool40:
