@@ -3,11 +3,14 @@
 An event pairs a measurement with a subset A of its outcome labels ("the
 outcome lies in A").  Its super-operator maps a state rho to
 ``sum_{m in A} M_m rho M_m^dagger``; this is trace non-increasing and
-generally changes the state even when A is the whole spectrum.
+generally changes the state even when A is the whole spectrum.  When every
+operator of a measurement is exactly ``I_l (x) k (x) I_r``, its channels act
+on the middle factor only.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +52,9 @@ class Measurement:
         Outcome label -> frozen operator, read-only, in spectrum order.
     dim : int
         Side of every operator.
+    _window : tuple of int
+        The largest ``(l, r)`` such that every operator is exactly
+        ``I_l (x) k (x) I_r``; ``(1, 1)`` when no identity factor splits off.
     spectrum : tuple of str
         Outcome labels in declaration order.
     projective : bool
@@ -91,6 +97,7 @@ class Measurement:
         object.__setattr__(self, "kraus", MappingProxyType(dict(zip(labels, ops))))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "spectrum", tuple(labels))
+        object.__setattr__(self, "_window", _identity_factors(ops, dim))
         object.__setattr__(self, "_complete", super_operator_of(complete_event(self)))
         # entries near the float limit overflow in the effect; the residual is
         # then inf or nan, which the check below rejects without a numpy warning
@@ -202,18 +209,93 @@ def union(a: Event, b: Event) -> Event:
     return Event(a.measurement, a.outcomes | b.outcomes)
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of *n*, in increasing order."""
+    found, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            found.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return found + [n] if n > 1 else found
+
+
+def _peel(k: np.ndarray, p: int, left: bool) -> np.ndarray | None:
+    """``b`` such that every operator in the stack *k* is ``I_p (x) b`` (*left*) or ``b (x) I_p``, else None."""
+    n, m = k.shape[:2]
+    q = m // p
+    if left:
+        blocks = k.reshape(n, p, q, p, q).transpose(0, 1, 3, 2, 4)
+    else:
+        blocks = k.reshape(n, q, p, q, p).transpose(0, 2, 4, 1, 3)
+    # blocks[:, a, b] is the (a, b) block; with zeros off the diagonal in the
+    # first block row and column, and each block equal to the one up and to
+    # its left, every block is the first one on the diagonal and zero off it
+    if blocks[:, 0, 1:].any() or blocks[:, 1:, 0].any() or not (blocks[:, 1:, 1:] == blocks[:, :-1, :-1]).all():
+        return None
+    return blocks[:, 0, 0]
+
+
+def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
+    """The largest ``(l, r)`` such that every operator in *ops* is exactly ``I_l (x) k (x) I_r``.
+
+    Prime factors of *dim* are peeled off the left, then off the right, each
+    by one exact test of the stacked operators; ``k`` shrinks as they go.
+    """
+    # column 0 of I_l (x) k (x) I_r is zero outside the rows below dim / l that
+    # r divides, so a dense operator stops both peels before any comparison
+    rows = {i for op in ops for i in op[:, 0].nonzero()[0].tolist()}
+    top, step = max(rows, default=0) + 1, math.gcd(*rows)
+    if 2 * top > dim and step == 1:
+        return 1, 1
+    k, m, l, r = np.stack(ops), dim, 1, 1
+    primes = _prime_factors(dim)
+    for p in primes:
+        while m % p == 0 and l * p * top <= dim and (block := _peel(k, p, left=True)) is not None:
+            l, m, k = l * p, m // p, block
+    for p in reversed(primes):
+        # k is no multiple of I_m here, or the left peel would have taken it
+        while m % p == 0 and m > p and step % (r * p) == 0 and (block := _peel(k, p, left=False)) is not None:
+            r, m, k = r * p, m // p, block
+    return l, r
+
+
 @dataclass(frozen=True)
 class SuperOperator:
-    """Completely positive, trace non-increasing map ``rho -> sum_m K_m rho K_m^dagger``."""
+    """Completely positive, trace non-increasing map ``rho -> sum_m K_m rho K_m^dagger``.
+
+    With ``window = (l, r)`` past ``(1, 1)`` every ``K_m`` is ``I_l (x) k_m (x) I_r``,
+    and the map applies ``sum_m k_m (x) conj(k_m)``, the natural matrix of the
+    middle factor, to the ``w x w`` blocks of rho; the effect stays dense.
+    """
 
     kraus: tuple[np.ndarray, ...]
     dim: int
+    window: tuple[int, int] = (1, 1)
 
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        l, r = self.window
+        if l * r == 1:
+            out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            for k in self.kraus:
+                out += k @ sigma @ k.conj().T
+            return out
+        w = self.dim // (l * r)
+        # sigma[a, i, b, a', i', b'] -> rows (i, i'), columns (a, b, a', b')
+        blocks = sigma.reshape(l, w, r, l, w, r).transpose(1, 4, 0, 2, 3, 5).reshape(w * w, -1)
+        out = (self._natural @ blocks).reshape(w, w, l, r, l, r).transpose(2, 0, 3, 4, 1, 5)
+        return out.reshape(self.dim, self.dim)
+
+    @cached_property
+    def _natural(self) -> np.ndarray:  # sum k (x) conj(k) over the middle factors, built when first read
+        l, r = self.window
+        w = self.dim // (l * r)
+        out = np.zeros((w, w, w, w), dtype=np.complex128)
         for k in self.kraus:
-            out += k @ sigma @ k.conj().T
-        return out
+            k = k.reshape(l, w, r, l, w, r)[0, :, 0, 0, :, 0]
+            out += k[:, None, :, None] * k.conj()[None, :, None, :]  # [i, i', j, j'] = k[i, j] conj(k[i', j'])
+        return out.reshape(w * w, w * w)
 
     @cached_property
     def _effect(self) -> np.ndarray:  # the POVM element E = sum K^dagger K, built when first read
@@ -227,7 +309,7 @@ class SuperOperator:
 def super_operator_of(event: Event) -> SuperOperator:
     m = event.measurement
     kraus = tuple(m.kraus[label] for label in m.spectrum if label in event.outcomes)
-    return SuperOperator(kraus=kraus, dim=m.dim)
+    return SuperOperator(kraus=kraus, dim=m.dim, window=m._window)
 
 
 _MARKER_RE = re.compile(r"^\s*(full|empty)\(\s*M(\d+)\s*\)\s*$")

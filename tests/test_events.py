@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import MappingProxyType
 
 import numpy as np
@@ -31,9 +33,11 @@ from qlll.generate import (
     plus_state,
     zx_measurement_pair,
 )
+from qlll.independence import compute_profile
 from qlll.linalg import DEFAULT_TOL, validate_density
 from qlll.oracle import enumerate_probability
 from qlll.probability import pr_test_marginal
+from qlll.serialize import dumps, loads
 
 
 def test_computational_measurement_is_projective():
@@ -209,3 +213,99 @@ def test_parse_event_seq_splits_on_semicolons():
         (2, frozenset(["0", "1"])),
         (3, "full"),
     ]
+
+
+# Site-local channels: a measurement whose operators are all exactly
+# I_l (x) k (x) I_r applies its channels on the middle factor only.
+
+_PRODUCT_SHAPES = [
+    (GeneratorKind.TENSOR_PRODUCT, 3, 2, 1),
+    (GeneratorKind.TENSOR_PRODUCT, 2, 3, 1),
+    (GeneratorKind.TENSOR_PRODUCT, 3, 3, 1),
+    (GeneratorKind.TENSOR_PRODUCT, 6, 2, 1),
+    (GeneratorKind.SLIDING_WINDOW, 3, 2, 2),
+    (GeneratorKind.SLIDING_WINDOW, 2, 3, 2),
+    (GeneratorKind.SLIDING_WINDOW, 5, 2, 2),
+    (GeneratorKind.SLIDING_WINDOW, 3, 2, 3),
+]
+
+
+def _product_instance(kind, n, local_dim, window, seed=5):
+    return generate(GeneratorSpec(kind=kind, n=n, local_dim=local_dim, window=window, seed=seed))
+
+
+@pytest.mark.parametrize("kind, n, local_dim, window", _PRODUCT_SHAPES)
+def test_product_families_find_their_identity_factors(kind, n, local_dim, window):
+    a = _product_instance(kind, n, local_dim, window)
+    sites = n + window - 1
+    expected = [(local_dim ** (i - 1), local_dim ** (sites - i - window + 1)) for i in range(1, n + 1)]
+    assert [m._window for m in a.test.measurements] == expected
+    for i, m in enumerate(a.test.measurements, start=1):
+        for channel in (m._complete, a.event(i)._hit, a.event(i)._miss):
+            assert channel.window == m._window
+
+
+@pytest.mark.parametrize("kind", [k for k in GeneratorKind if k not in (GeneratorKind.TENSOR_PRODUCT, GeneratorKind.SLIDING_WINDOW)])
+@pytest.mark.parametrize("local_dim", [2, 3, 4])
+def test_single_space_families_find_no_identity_factor(kind, local_dim):
+    a = generate(GeneratorSpec(kind=kind, n=3, local_dim=local_dim, seed=2))
+    assert [m._window for m in a.test.measurements] == [(1, 1)] * a.n
+
+
+def test_identity_factors_are_exact():
+    # one ulp on a diagonal-block entry, or the least subnormal off the blocks,
+    # leaves no identity factor: the comparison has no tolerance
+    a = _product_instance(GeneratorKind.TENSOR_PRODUCT, 3, 2, 1)
+    for m in a.test.measurements:
+        entry = m.kraus[m.spectrum[0]][0, 0]
+        for row, col, value in ((0, 0, complex(np.nextafter(entry.real, 2.0), entry.imag)), (0, m.dim - 1, 5e-324)):
+            ops = {label: np.array(op) for label, op in m.kraus.items()}
+            ops[m.spectrum[0]][row, col] = value
+            assert Measurement(m.name, ops)._window == (1, 1), (m.name, row, col)
+    # a multiple of the identity is all left factor
+    assert Measurement("I", {"0": np.eye(6)})._window == (6, 1)
+
+
+def _dense(channel: SuperOperator) -> SuperOperator:
+    return SuperOperator(channel.kraus, channel.dim)
+
+
+@pytest.mark.parametrize("kind, n, local_dim, window", _PRODUCT_SHAPES)
+def test_window_route_matches_the_dense_loop(kind, n, local_dim, window):
+    # a generic non-Hermitian sigma of unit norm, so a dropped conjugate or a
+    # transposed block shows, and 1e-12 is an absolute bound
+    a = _product_instance(kind, n, local_dim, window)
+    rng = np.random.default_rng(n * local_dim * window)
+    d = a.test.rho.dim
+    sigma = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sigma /= np.linalg.norm(sigma)
+    for i, m in enumerate(a.test.measurements, start=1):
+        for channel in (m._complete, a.event(i)._hit, a.event(i)._miss, super_operator_of(empty_event(m))):
+            assert channel.window == m._window != (1, 1)
+            assert np.abs(channel(sigma) - _dense(channel)(sigma)).max() <= 1e-12
+            assert channel.trace_of(sigma) == _dense(channel).trace_of(sigma)
+
+
+@pytest.mark.parametrize("kind", [GeneratorKind.TENSOR_PRODUCT, GeneratorKind.SLIDING_WINDOW])
+def test_a_reloaded_instance_gives_the_same_profile(kind):
+    a = _product_instance(kind, 4, 2, 2)
+    _, b, _ = loads(dumps(a))
+    assert [m._window for m in b.test.measurements] == [m._window for m in a.test.measurements]
+    assert compute_profile(b) == compute_profile(a)
+
+
+def test_a_profiled_instance_is_freed_by_reference_counting():
+    # a channel that held its measurement would make a cycle through
+    # Measurement._complete, and each instance would wait for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        a = _product_instance(GeneratorKind.SLIDING_WINDOW, 3, 2, 2)
+        profile = compute_profile(a)
+        refs = [weakref.ref(a), weakref.ref(profile)]
+        for i, m in enumerate(a.test.measurements, start=1):
+            refs += [weakref.ref(m), weakref.ref(m._complete), weakref.ref(a.event(i)), weakref.ref(a.event(i)._hit)]
+        del a, profile, m
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
