@@ -26,6 +26,22 @@ def _plain(value):
     return value
 
 
+def _digits(value: int) -> int:
+    """The decimal digits of *value*, counted without str(), which refuses integers past sys.get_int_max_str_digits()."""
+    digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one below it
+    return digits + (abs(value) >= 10**digits)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, with an integer too long for str() shown by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' if value < 0 else ''}{_digits(value)}-digit integer>"
+        return f"<{type(value).__name__} holding an integer too long to print>"
+
+
 class QlllError(Exception):
     """Base class for every error this library raises on purpose."""
 

@@ -25,6 +25,7 @@ from .errors import (
     NotCompleteError,
     ParseError,
     ValidationError,
+    _shown,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, check_dimension
 
@@ -317,6 +318,13 @@ _IN_RE = re.compile(r"^\s*M(\d+)\s+in\s+\{([^{}]*)\}\s*$")
 _EQ_RE = re.compile(r"^\s*M(\d+)\s*=\s*(\S+)\s*$")
 
 
+def _measurement_index(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"an event expression names a measurement index of {len(digits)} digits") from None
+
+
 def parse_event_expr(text: str) -> tuple[int, str | frozenset[str]]:
     """Parse one event expression.
 
@@ -326,17 +334,17 @@ def parse_event_expr(text: str) -> tuple[int, str | frozenset[str]]:
     """
     m = _MARKER_RE.match(text)
     if m:
-        return int(m.group(2)), m.group(1)
+        return _measurement_index(m.group(2)), m.group(1)
     m = _IN_RE.match(text)
     if m:
         body = m.group(2).strip()
         labels = [piece.strip() for piece in body.split(",")] if body else []
         if any(not piece for piece in labels):
             raise ParseError(f"empty outcome label in event expression {text!r}")
-        return int(m.group(1)), frozenset(labels)
+        return _measurement_index(m.group(1)), frozenset(labels)
     m = _EQ_RE.match(text)
     if m:
-        return int(m.group(1)), frozenset([m.group(2)])
+        return _measurement_index(m.group(1)), frozenset([m.group(2)])
     raise ParseError(
         f"cannot parse event expression {text!r}; expected 'M<i> in {{a,b}}', "
         "'M<i>=a', 'full(M<i>)' or 'empty(M<i>)'"
@@ -354,7 +362,7 @@ def parse_event_seq(text: str) -> list[tuple[int, str | frozenset[str]]]:
 def resolve_event_spec(measurements: Sequence[Measurement], index: int, spec) -> Event:
     """Turn a parsed ``(index, spec)`` pair into an event of ``measurements[index - 1]``."""
     if not (1 <= index <= len(measurements)):
-        raise ParseError(f"event references M{index} but the test has {len(measurements)} measurements")
+        raise ParseError(f"event references M{_shown(index)} but the test has {len(measurements)} measurements")
     m = measurements[index - 1]
     if spec == "full":
         return complete_event(m)

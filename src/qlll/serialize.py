@@ -18,12 +18,11 @@ reproduces every matrix bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _digits, _shown
 from .events import Event, Measurement, resolve_event_spec
 from .linalg import DEFAULT_TOL, ToleranceConfig, validate_density
 from .probability import Test, TestEventAssignment
@@ -45,10 +44,7 @@ def _float(value: Any) -> float:
     try:
         return float(value)
     except OverflowError:
-        # counted without str(), which refuses integers past sys.get_int_max_str_digits()
-        digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one below it
-        digits += abs(value) >= 10**digits
-        raise ParseError(f"a {digits}-digit integer is beyond float range")
+        raise ParseError(f"a {_digits(value)}-digit integer is beyond float range")
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -60,7 +56,7 @@ def matrix_from_json(rows: Any, dim: int | None = None) -> np.ndarray:
         raise ParseError("matrix must be a non-empty array of rows")
     size = len(rows)
     if dim is not None and size != dim:
-        raise ParseError(f"matrix has {size} rows, expected {dim}")
+        raise ParseError(f"matrix has {size} rows, expected {_shown(dim)}")
     out = np.empty((size, size), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != size:
@@ -115,10 +111,10 @@ def instance_from_dict(
         raise ParseError("instance file must be a JSON object")
     version = doc.get("version")
     if not _integer(version) or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version!r}")
+        raise ParseError(f"unsupported format version {_shown(version)}")
     dim = doc.get("dim")
     if not _integer(dim) or dim < 1:
-        raise ParseError(f"dim must be a positive integer, got {dim!r}")
+        raise ParseError(f"dim must be a positive integer, got {_shown(dim)}")
     state = validate_density(matrix_from_json(doc.get("state"), dim), tol)
 
     raw_measurements = doc.get("measurements")
@@ -158,7 +154,7 @@ def instance_from_dict(
             idx = raw["measurement"]
             labels = raw["in"]
             if not _integer(idx):
-                raise ParseError(f"event measurement index must be an integer, got {idx!r}")
+                raise ParseError(f"event measurement index must be an integer, got {_shown(idx)}")
             if not isinstance(labels, list) or not all(isinstance(o, str) for o in labels):
                 raise ParseError("event 'in' must be an array of outcome labels")
             if idx in events:

@@ -206,6 +206,13 @@ def test_parse_event_expr_rejects_garbage():
             parse_event_expr(text)
 
 
+@pytest.mark.parametrize("form", ["M{}=0", "M{} in {{0}}", "full(M{})"])
+def test_parse_event_expr_refuses_an_index_past_the_printable_digits(form):
+    # int() refuses more than 4300 digits with a raw ValueError
+    with pytest.raises(ParseError, match="^an event expression names a measurement index of 5000 digits$"):
+        parse_event_expr(form.format("1" * 5000))
+
+
 def test_parse_event_seq_splits_on_semicolons():
     parsed = parse_event_seq("M1=1; M2 in {0,1} ;full(M3)")
     assert parsed == [

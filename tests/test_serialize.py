@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -129,6 +130,26 @@ def test_integers_past_the_printable_digits_are_parse_errors(leaf, value):
         doc["x"] = [value, 0.5]
     digits = 5000 if value == 10**5000 - 1 else 5001
     with pytest.raises(ParseError, match=f"^a {digits}-digit integer is beyond float range$"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(version=10**5000), "unsupported format version <5001-digit integer>"),
+        (lambda d: d.update(version=[10**5000]), "unsupported format version <list holding an integer too long to print>"),
+        (lambda d: d.update(dim=10**5000), "matrix has 2 rows, expected <5001-digit integer>"),
+        (lambda d: d.update(dim=-(10**5000)), "dim must be a positive integer, got <negative 5001-digit integer>"),
+        (lambda d: d["events"][0].update(measurement=10**5000), "event references M<5001-digit integer> but the test has 2"),
+        (lambda d: d["events"][0].update(measurement=[10**5000]), "index must be an integer, got <list holding"),
+    ],
+    ids=["version", "version-list", "dim", "negative-dim", "event-measurement", "event-measurement-list"],
+)
+def test_integer_fields_past_the_printable_digits_are_parse_errors(mutate, message):
+    # str() refuses integers past 4300 digits, so each message shows their digit count instead
+    doc = reference_doc()
+    mutate(doc)
+    with pytest.raises(ParseError, match=re.escape(message)):
         instance_from_dict(doc)
 
 
