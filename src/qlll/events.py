@@ -250,7 +250,7 @@ def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
     top, step = max(rows, default=0) + 1, math.gcd(*rows)
     if 2 * top > dim and step == 1:
         return 1, 1
-    k, m, l, r = np.stack(ops), dim, 1, 1
+    k, m, l, r = np.array(ops), dim, 1, 1
     primes = _prime_factors(dim)
     for p in primes:
         while m % p == 0 and l * p * top <= dim and (block := _peel(k, p, left=True)) is not None:
