@@ -27,7 +27,10 @@ def _plain(value):
 
 
 def _digits(value: int) -> int:
-    """The decimal digits of *value*, counted without str(), which refuses integers past sys.get_int_max_str_digits()."""
+    """The decimal digits of *value*, counted without str().
+
+    str() refuses integers past ``sys.get_int_max_str_digits()`` digits.
+    """
     digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one below it
     return digits + (abs(value) >= 10**digits)
 

@@ -252,7 +252,12 @@ def test_product_families_find_their_identity_factors(kind, n, local_dim, window
             assert channel.window == m._window
 
 
-@pytest.mark.parametrize("kind", [k for k in GeneratorKind if k not in (GeneratorKind.TENSOR_PRODUCT, GeneratorKind.SLIDING_WINDOW)])
+_SINGLE_SPACE_KINDS = [
+    k for k in GeneratorKind if k not in (GeneratorKind.TENSOR_PRODUCT, GeneratorKind.SLIDING_WINDOW)
+]
+
+
+@pytest.mark.parametrize("kind", _SINGLE_SPACE_KINDS)
 @pytest.mark.parametrize("local_dim", [2, 3, 4])
 def test_single_space_families_find_no_identity_factor(kind, local_dim):
     a = generate(GeneratorSpec(kind=kind, n=3, local_dim=local_dim, seed=2))

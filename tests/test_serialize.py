@@ -137,10 +137,10 @@ def test_integers_past_the_printable_digits_are_parse_errors(leaf, value):
     "mutate, message",
     [
         (lambda d: d.update(version=10**5000), "unsupported format version <5001-digit integer>"),
-        (lambda d: d.update(version=[10**5000]), "unsupported format version <list holding an integer too long to print>"),
+        (lambda d: d.update(version=[10**5000]), "version <list holding an integer too long to print>"),
         (lambda d: d.update(dim=10**5000), "matrix has 2 rows, expected <5001-digit integer>"),
         (lambda d: d.update(dim=-(10**5000)), "dim must be a positive integer, got <negative 5001-digit integer>"),
-        (lambda d: d["events"][0].update(measurement=10**5000), "event references M<5001-digit integer> but the test has 2"),
+        (lambda d: d["events"][0].update(measurement=10**5000), "event references M<5001-digit integer> but"),
         (lambda d: d["events"][0].update(measurement=[10**5000]), "index must be an integer, got <list holding"),
     ],
     ids=["version", "version-list", "dim", "negative-dim", "event-measurement", "event-measurement-list"],
