@@ -56,6 +56,9 @@ class Measurement:
     _window : tuple of int
         The largest ``(l, r)`` such that every operator is exactly
         ``I_l (x) k (x) I_r``; ``(1, 1)`` when no identity factor splits off.
+    _products : mapping of str to ndarray
+        Outcome label -> ``M_m^dagger M_m``, read-only, formed once here; every
+        channel's effect sums those of its outcomes.
     spectrum : tuple of str
         Outcome labels in declaration order.
     projective : bool
@@ -99,10 +102,15 @@ class Measurement:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "spectrum", tuple(labels))
         object.__setattr__(self, "_window", _identity_factors(ops, dim))
-        object.__setattr__(self, "_complete", super_operator_of(complete_event(self)))
-        # entries near the float limit overflow in the effect; the residual is
-        # then inf or nan, which the check below rejects without a numpy warning
+        # entries near the float limit overflow in the products and the effect;
+        # the residual is then inf or nan, which the check below rejects
+        # without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
+            products = [op.conj().T @ op for op in ops]
+            for product in products:
+                product.setflags(write=False)
+            object.__setattr__(self, "_products", MappingProxyType(dict(zip(labels, products))))
+            object.__setattr__(self, "_complete", super_operator_of(complete_event(self)))
             residual = float(np.abs(self._complete._effect - np.eye(dim)).max())
         if not residual <= self.tol.complete:
             raise NotCompleteError(
@@ -238,11 +246,26 @@ def _peel(k: np.ndarray, p: int, left: bool) -> np.ndarray | None:
     return blocks[:, 0, 0]
 
 
+def _peel_power(k: np.ndarray, p: int, q: int, left: bool) -> tuple[int, np.ndarray]:
+    """The largest power ``q'`` of *p* up to *q* that `_peel` takes off *k*, and the block it leaves.
+
+    Exact factors are downward closed (``I_pq = I_p (x) I_q``), so the first
+    power that peels, trying *q* and then smaller ones, is the largest.
+    """
+    while q > 1:
+        if (block := _peel(k, q, left)) is not None:
+            return q, block
+        q //= p
+    return 1, k
+
+
 def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
     """The largest ``(l, r)`` such that every operator in *ops* is exactly ``I_l (x) k (x) I_r``.
 
-    Prime factors of *dim* are peeled off the left, then off the right, each
-    by one exact test of the stacked operators; ``k`` shrinks as they go.
+    For each prime factor of *dim*, its largest power the column-0 bound allows
+    is peeled off the left, then off the right, by exact tests of the stacked
+    operators (one, unless a smaller power is all that splits off); ``k``
+    shrinks as they go.
     """
     # column 0 of I_l (x) k (x) I_r is zero outside the rows below dim / l that
     # r divides, so a dense operator stops both peels before any comparison
@@ -253,12 +276,18 @@ def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
     k, m, l, r = np.array(ops), dim, 1, 1
     primes = _prime_factors(dim)
     for p in primes:
-        while m % p == 0 and l * p * top <= dim and (block := _peel(k, p, left=True)) is not None:
-            l, m, k = l * p, m // p, block
+        q = 1
+        while m % (q * p) == 0 and l * q * p * top <= dim:
+            q *= p
+        q, k = _peel_power(k, p, q, left=True)
+        l, m = l * q, m // q
     for p in reversed(primes):
         # k is no multiple of I_m here, or the left peel would have taken it
-        while m % p == 0 and m > p and step % (r * p) == 0 and (block := _peel(k, p, left=False)) is not None:
-            r, m, k = r * p, m // p, block
+        q = 1
+        while m % (q * p) == 0 and m > q * p and step % (r * q * p) == 0:
+            q *= p
+        q, k = _peel_power(k, p, q, left=False)
+        r, m = r * q, m // q
     return l, r
 
 
@@ -273,6 +302,7 @@ class SuperOperator:
 
     kraus: tuple[np.ndarray, ...]
     dim: int
+    products: tuple[np.ndarray, ...]  # K_m^dagger K_m of each K_m, in the same order
     window: tuple[int, int] = (1, 1)
 
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
@@ -300,7 +330,7 @@ class SuperOperator:
 
     @cached_property
     def _effect(self) -> np.ndarray:  # the POVM element E = sum K^dagger K, built when first read
-        return sum((k.conj().T @ k for k in self.kraus), np.zeros((self.dim, self.dim), dtype=np.complex128))
+        return sum(self.products, np.zeros((self.dim, self.dim), dtype=np.complex128))
 
     def trace_of(self, sigma: np.ndarray) -> float:
         """``tr(self(sigma)) = tr(E sigma)``, read without applying the channel (E is Hermitian: vdot)."""
@@ -309,8 +339,13 @@ class SuperOperator:
 
 def super_operator_of(event: Event) -> SuperOperator:
     m = event.measurement
-    kraus = tuple(m.kraus[label] for label in m.spectrum if label in event.outcomes)
-    return SuperOperator(kraus=kraus, dim=m.dim, window=m._window)
+    labels = [label for label in m.spectrum if label in event.outcomes]
+    return SuperOperator(
+        kraus=tuple(m.kraus[label] for label in labels),
+        dim=m.dim,
+        products=tuple(m._products[label] for label in labels),
+        window=m._window,
+    )
 
 
 _MARKER_RE = re.compile(r"^\s*(full|empty)\(\s*M(\d+)\s*\)\s*$")

@@ -151,10 +151,15 @@ def random_povm_measurement(
     return Measurement(name, {str(m): a @ s_inv_sqrt for m, a in enumerate(ops)})
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices: the same products, by one broadcast."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _embed(op: np.ndarray, start: int, width: int, count: int, local_dim: int) -> np.ndarray:
     left = np.eye(local_dim**start)
     right = np.eye(local_dim ** (count - start - width))
-    return np.kron(np.kron(left, op), right)
+    return _kron(_kron(left, op), right)
 
 
 def _random_proper_subset(spectrum: Sequence[str], rng: np.random.Generator) -> frozenset[str]:
@@ -225,7 +230,7 @@ def _reference_instance() -> TestEventAssignment:
 def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> DensityOperator:
     state = np.array([[1.0]], dtype=complex)
     for _ in range(count):
-        state = np.kron(state, ginibre_state(local_dim, rng).matrix)
+        state = _kron(state, ginibre_state(local_dim, rng).matrix)
     return validate_density(state)
 
 
@@ -250,7 +255,7 @@ def _window_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: i
         op = np.array([[1.0]], dtype=complex)
         for w, c in enumerate(combo):
             vec = bases[w][:, c : c + 1]
-            op = np.kron(op, vec @ vec.conj().T)
+            op = _kron(op, vec @ vec.conj().T)
         label = "".join(str(c) for c in combo)
         kraus[label] = _embed(op, i - 1, spec.window, sites, spec.local_dim)
     return Measurement(f"M{i}", kraus)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from types import MappingProxyType
@@ -5,7 +6,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from helpers import build_pool
+from helpers import build_pool, complemented
 from qlll.errors import (
     DifferentMeasurementsError,
     DimensionMismatchError,
@@ -13,6 +14,7 @@ from qlll.errors import (
     ParseError,
     ValidationError,
 )
+from qlll import events
 from qlll.events import (
     Event,
     Measurement,
@@ -279,7 +281,7 @@ def test_identity_factors_are_exact():
 
 
 def _dense(channel: SuperOperator) -> SuperOperator:
-    return SuperOperator(channel.kraus, channel.dim)
+    return dataclasses.replace(channel, window=(1, 1))
 
 
 @pytest.mark.parametrize("kind, n, local_dim, window", _PRODUCT_SHAPES)
@@ -321,3 +323,75 @@ def test_a_profiled_instance_is_freed_by_reference_counting():
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _effect_instances():
+    # build_pool(40) with its complemented and zero-denominator variants, and
+    # the d=64 tensor-product and sliding-window shapes of the search
+    for a in build_pool(40):
+        yield a
+        yield complemented(a, a.assigned())
+        yield a.with_event(1, empty_event(a.test.measurements[0]))
+    for seed in (1, 2):
+        yield generate(GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=6, local_dim=2, seed=seed))
+        yield generate(GeneratorSpec(kind=GeneratorKind.SLIDING_WINDOW, n=5, local_dim=2, window=2, seed=seed))
+
+
+def test_effects_sum_the_measurement_products_to_the_bit():
+    # each effect adds the products its measurement formed once, in spectrum
+    # order from zeros, so it equals the sum of freshly formed K^dagger K
+    checked = 0
+    for a in _effect_instances():
+        for i, m in enumerate(a.test.measurements, start=1):
+            for channel in (m._complete, a.event(i)._hit, a.event(i)._miss, super_operator_of(empty_event(m))):
+                fresh = sum((k.conj().T @ k for k in channel.kraus), np.zeros((m.dim, m.dim), dtype=np.complex128))
+                assert _same_bits(channel._effect, fresh), (a, i)
+                checked += 1
+    assert checked > 4 * 120
+
+
+def _counted_peels(monkeypatch) -> list[tuple[int, bool]]:
+    """``(q, left)`` of every `_peel` call made from now on."""
+    calls, original = [], events._peel
+
+    def counting(k, p, left):
+        calls.append((p, left))
+        return original(k, p, left)
+
+    monkeypatch.setattr(events, "_peel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, n, local_dim, window", _PRODUCT_SHAPES)
+def test_generated_operators_take_one_peel_per_prime_and_side(monkeypatch, kind, n, local_dim, window):
+    # the first power tried, the largest the column-0 bound allows, is exact
+    a = _product_instance(kind, n, local_dim, window)
+    calls = _counted_peels(monkeypatch)
+    for m in a.test.measurements:
+        calls.clear()
+        assert events._identity_factors(list(m.kraus.values()), m.dim) == m._window
+        l, r = m._window  # each dimension here is a power of one prime
+        assert calls == [(q, left) for q, left in ((l, True), (r, False)) if q > 1], m.name
+
+
+def test_a_peel_that_fails_steps_down_to_the_largest_exact_power(monkeypatch):
+    # I_2 (x) k with column 0 of k zero below row 0, so the bound allows q=8:
+    # 8 and 4 fail, 2 peels; no right factor splits off k
+    v = np.array([0.0, 1.0, 2.0, 2.0]) / 3
+    p = np.outer(np.eye(4)[0], np.eye(4)[0]) + np.outer(v, v)
+    ops = [np.kron(np.eye(2), p), np.kron(np.eye(2), np.eye(4) - p)]
+    calls = _counted_peels(monkeypatch)
+    assert events._identity_factors(ops, 8) == (2, 1)
+    assert calls == [(8, True), (4, True), (2, True), (2, False)]
+    calls.clear()
+    assert Measurement("M", {"0": ops[0], "1": ops[1]})._window == (2, 1)
+    assert calls == [(8, True), (4, True), (2, True), (2, False)]

@@ -15,6 +15,7 @@ from qlll.generate import (
     GeneratorKind,
     GeneratorSpec,
     _drop_outcome,
+    _kron,
     generate,
     generate_assumption_satisfying,
     worked_examples,
@@ -411,3 +412,32 @@ CONSTRUCTION_DIGESTS = {
 @pytest.mark.parametrize("kind", list(GeneratorKind), ids=lambda k: k.value)
 def test_construction_bits_are_pinned(kind):
     assert _construction_digests(kind) == CONSTRUCTION_DIGESTS[kind]
+
+
+def test_kron_helper_makes_the_products_of_np_kron():
+    # real x complex as _embed does, complex x complex as _window_slot and
+    # _product_state do, and 1 x 1 factors, signed zeros included
+    rng = np.random.default_rng(3)
+
+    def draw(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        z[0, 0] = complex(-0.0, 0.0)
+        return z
+
+    one, minus_zero = np.array([[1.0 + 0j]]), np.array([[complex(-0.0, -0.0)]])
+    pairs = [
+        (np.eye(4), draw(2, 2)),
+        (np.kron(np.eye(2), draw(2, 2)), np.eye(8)),
+        (draw(2, 2), draw(3, 3)),
+        (-np.eye(3), draw(2, 3)),
+        (one, draw(2, 2)),
+        (draw(2, 2), one),
+        (one, minus_zero),
+        (np.array([[-0.0]]), draw(1, 1)),
+    ]
+    for a, b in pairs:
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))

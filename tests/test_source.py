@@ -77,6 +77,23 @@ def test_only_measurements_and_events_build_channels():
     assert found == []
 
 
+def test_kraus_products_are_formed_once_and_kron_nowhere():
+    # a measurement forms each K^dagger K once and every channel's effect sums
+    # those; random_povm_measurement's products are of its Gaussian draws,
+    # before they are normalized into Kraus operators.  np.kron goes through
+    # generate._kron, one broadcast product
+    def adjoint_on_the_left(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.MatMult)
+            and re.search(r"\.conj\(\)\.T$|\.T\.conj\(\)$", ast.unparse(node.left)) is not None
+        )
+
+    found = _sites(adjoint_on_the_left)
+    assert sorted(found) == ["events.py:Measurement.__post_init__", "generate.py:random_povm_measurement"]
+    assert _call_sites(lambda f: ast.unparse(f).split(".")[-1] == "kron") == []
+
+
 def test_every_library_class_is_a_frozen_dataclass():
     # library values are immutable and compare by value; only exceptions,
     # enums, the forward walk (it advances) and the argument parser are not
@@ -139,18 +156,19 @@ def _functions(tree: ast.Module):
             yield from ((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
 
 
-def _call_sites(wanted) -> list[str]:
-    """``file:function`` of every library call whose callee *wanted* accepts (``<module>`` outside functions)."""
+def _sites(wanted) -> list[str]:
+    """``file:function`` of every library syntax node *wanted* accepts (``<module>`` outside functions)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owner = {id(node): qualname for qualname, func in _functions(tree) for node in ast.walk(func)}
-        found += [
-            f"{path.name}:{owner.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and wanted(node.func)
-        ]
+        found += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree) if wanted(node)]
     return found
+
+
+def _call_sites(wanted) -> list[str]:
+    """``file:function`` of every library call whose callee *wanted* accepts."""
+    return _sites(lambda node: isinstance(node, ast.Call) and wanted(node.func))
 
 
 def test_each_argument_rule_has_one_home():
