@@ -177,7 +177,9 @@ def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOpera
     """Check Hermiticity, positivity and unit trace; return a ``DensityOperator``.
 
     Positivity is decided on the eigenvalues of the hermitized matrix
-    ``(M + M^dagger)/2`` so the check is well-posed under rounding.
+    ``(M + M^dagger)/2`` so the check is well-posed under rounding: their
+    negative part may sum to no less than ``-tol.psd``, because an event can
+    select every negative eigenvalue at once.
 
     Raises
     ------
@@ -196,10 +198,12 @@ def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOpera
     hermitized = m / 2 + m.conj().T / 2
     eigenvalues = np.linalg.eigvalsh(hermitized)
     lowest = float(eigenvalues[0])
-    if lowest < -tol.psd:
+    negative = float(eigenvalues[eigenvalues < 0].sum())
+    if negative < -tol.psd:
         raise NotPositiveError(
-            f"matrix has eigenvalue {lowest:.3e} below -{tol.psd:.1e}",
+            f"matrix has negative eigenvalues summing to {negative:.3e}, below -{tol.psd:.1e}",
             min_eigenvalue=lowest,
+            negative_mass=negative,
         )
     tr = np.trace(m)
     if abs(tr.imag) > tol.herm:

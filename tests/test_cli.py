@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from helpers import count_channel_work
@@ -18,7 +19,7 @@ from qlll.schemas import (
     INSTANCE_SCHEMA,
     SYMMETRIC_CHECK_SCHEMA,
 )
-from qlll.serialize import dumps
+from qlll.serialize import dumps, matrix_to_json
 
 
 def run(capsys, *argv):
@@ -600,6 +601,28 @@ def test_entries_near_the_float_limit_give_a_json_error(capsys, ref_file, tmp_pa
     assert code == 2
     assert out["error"]["type"] == error
     assert caught == []
+
+
+def test_negative_eigenvalues_that_sum_past_the_tolerance_fail_at_load(capsys, tmp_path):
+    # each eigenvalue is within tol.psd of zero, but the projector onto all
+    # eight selects their sum, -7.2e-9: the marginal used to stray below 0
+    # and raise InternalConsistency
+    dim = 16
+    state = np.diag([-0.9e-9] * 8 + [1 / 8 + 0.9e-9] * 8)
+    hit = np.diag([1.0] * 8 + [0.0] * 8)
+    doc = {
+        "version": 1,
+        "dim": dim,
+        "state": matrix_to_json(state),
+        "measurements": [{"name": "M1", "outcomes": ["0", "1"], "kraus": [matrix_to_json(hit), matrix_to_json(np.eye(dim) - hit)]}],
+        "events": [{"measurement": 1, "in": ["0"]}],
+    }
+    path = tmp_path / "negative-mass.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    assert code == 2
+    assert out["error"]["type"] == "NotPositive"
+    assert out["error"]["detail"]["negative_mass"] == pytest.approx(-7.2e-9, rel=1e-6)
 
 
 def test_non_integer_slot_index_exits_2(capsys, ref_file):

@@ -118,6 +118,17 @@ def test_validate_density_rejects_negative_eigenvalue():
         validate_density([[1.5, 0.0], [0.0, -0.5]])
 
 
+def test_validate_density_bounds_the_negative_mass():
+    # one eigenvalue just inside -tol.psd passes; eight of them sum past it
+    one = np.diag([-0.9e-9] + [(1 + 0.9e-9) / 15] * 15)
+    assert np.array_equal(validate_density(one).matrix, one)
+    eight = np.diag([-0.9e-9] * 8 + [1 / 8 + 0.9e-9] * 8)
+    with pytest.raises(NotPositiveError) as exc:
+        validate_density(eight)
+    assert exc.value.detail["min_eigenvalue"] == pytest.approx(-0.9e-9)
+    assert exc.value.detail["negative_mass"] == pytest.approx(-7.2e-9)
+
+
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(BadTraceError):
         validate_density([[0.6, 0.0], [0.0, 0.6]])
