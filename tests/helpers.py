@@ -93,6 +93,16 @@ def count_channel_work(monkeypatch) -> list[str]:
     return calls
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """*a* and *b* hold the same values with the same dtype, signs of zero included."""
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
 def complemented(a, slots):
     """*a* with the event at each of *slots* replaced by its complement.
 
