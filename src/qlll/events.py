@@ -59,6 +59,10 @@ class Measurement:
     _products : mapping of str to ndarray
         Outcome label -> ``M_m^dagger M_m``, read-only, formed once here; every
         channel's effect sums those of its outcomes.
+    _excess : float
+        The largest absolute row sum of ``sum_m M_m^dagger M_m - I``, which
+        bounds how far one complete channel can move a trace; a `Test` sums
+        it over its slots.
     spectrum : tuple of str
         Outcome labels in declaration order.
     projective : bool
@@ -111,7 +115,10 @@ class Measurement:
                 product.setflags(write=False)
             object.__setattr__(self, "_products", MappingProxyType(dict(zip(labels, products))))
             object.__setattr__(self, "_complete", super_operator_of(complete_event(self)))
-            residual = float(np.abs(self._complete._effect - np.eye(dim)).max())
+            deviation = np.abs(self._complete._effect - np.eye(dim))
+            residual = float(deviation.max())
+            # the largest absolute row sum bounds the Hermitian deviation's operator norm
+            object.__setattr__(self, "_excess", float(deviation.sum(axis=1).max()))
         if not residual <= self.tol.complete:
             raise NotCompleteError(
                 f"measurement {name!r} violates completeness: "
@@ -181,8 +188,7 @@ class Event:
             )
 
     def sorted_outcomes(self) -> list[str]:
-        order = {m: i for i, m in enumerate(self.measurement.spectrum)}
-        return sorted(self.outcomes, key=order.__getitem__)
+        return [m for m in self.measurement.spectrum if m in self.outcomes]
 
     @cached_property
     def _hit(self) -> SuperOperator:  # built when first read, shared by all that hold the event
@@ -218,18 +224,6 @@ def union(a: Event, b: Event) -> Event:
     return Event(a.measurement, a.outcomes | b.outcomes)
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of *n*, in increasing order."""
-    found, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            found.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return found + [n] if n > 1 else found
-
-
 def _peel(k: np.ndarray, p: int, left: bool) -> np.ndarray | None:
     """``b`` such that every operator in the stack *k* is ``I_p (x) b`` (*left*) or ``b (x) I_p``, else None."""
     n, m = k.shape[:2]
@@ -246,48 +240,33 @@ def _peel(k: np.ndarray, p: int, left: bool) -> np.ndarray | None:
     return blocks[:, 0, 0]
 
 
-def _peel_power(k: np.ndarray, p: int, q: int, left: bool) -> tuple[int, np.ndarray]:
-    """The largest power ``q'`` of *p* up to *q* that `_peel` takes off *k*, and the block it leaves.
-
-    Exact factors are downward closed (``I_pq = I_p (x) I_q``), so the first
-    power that peels, trying *q* and then smaller ones, is the largest.
-    """
-    while q > 1:
-        if (block := _peel(k, q, left)) is not None:
-            return q, block
-        q //= p
-    return 1, k
-
-
 def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
     """The largest ``(l, r)`` such that every operator in *ops* is exactly ``I_l (x) k (x) I_r``.
 
-    For each prime factor of *dim*, its largest power the column-0 bound allows
-    is peeled off the left, then off the right, by exact tests of the stacked
-    operators (one, unless a smaller power is all that splits off); ``k``
-    shrinks as they go.
+    One descending scan per side keeps the first `_peel` that succeeds: the
+    divisors of *dim* the column-0 bound allows on the left, then those of
+    what is left that the row step allows on the right.  Every exact factor
+    meets its bound, and exact factors are closed under divisors
+    (``I_pq = I_p (x) I_q``) and under lcm, so they are the divisors of the
+    largest one, and the first success is that largest factor.
     """
     # column 0 of I_l (x) k (x) I_r is zero outside the rows below dim / l that
-    # r divides, so a dense operator stops both peels before any comparison
+    # r divides, so a dense operator stops both scans before any comparison
     rows = {i for op in ops for i in op[:, 0].nonzero()[0].tolist()}
     top, step = max(rows, default=0) + 1, math.gcd(*rows)
     if 2 * top > dim and step == 1:
         return 1, 1
-    k, m, l, r = np.array(ops), dim, 1, 1
-    primes = _prime_factors(dim)
-    for p in primes:
-        q = 1
-        while m % (q * p) == 0 and l * q * p * top <= dim:
-            q *= p
-        q, k = _peel_power(k, p, q, left=True)
-        l, m = l * q, m // q
-    for p in reversed(primes):
-        # k is no multiple of I_m here, or the left peel would have taken it
-        q = 1
-        while m % (q * p) == 0 and m > q * p and step % (r * q * p) == 0:
-            q *= p
-        q, k = _peel_power(k, p, q, left=False)
-        r, m = r * q, m // q
+    k, l, r = np.array(ops), 1, 1
+    for q in range(dim // top, 1, -1):
+        if dim % q == 0 and (block := _peel(k, q, left=True)) is not None:
+            k, l = block, q
+            break
+    m = dim // l
+    # k is no multiple of I_m here, or the left scan would have taken it
+    for q in range(m - 1, 1, -1):
+        if m % q == 0 and step % q == 0 and _peel(k, q, left=False) is not None:
+            r = q
+            break
     return l, r
 
 
@@ -339,7 +318,7 @@ class SuperOperator:
 
 def super_operator_of(event: Event) -> SuperOperator:
     m = event.measurement
-    labels = [label for label in m.spectrum if label in event.outcomes]
+    labels = event.sorted_outcomes()
     return SuperOperator(
         kraus=tuple(m.kraus[label] for label in labels),
         dim=m.dim,

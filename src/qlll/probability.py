@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
     MissingAssignmentError,
+    NotCompleteError,
     ValidationError,
 )
 from .events import Event, Measurement, SuperOperator
@@ -134,6 +135,8 @@ class Test:
     ``_complete`` holds the measurements' own complete channels and ``_tau[j]``
     is rho through those of slots 1..j (j < n); they hold no event, so every
     walk in the test starts at the ``tau`` before its first unpadded slot.
+    A test whose ``|tr rho - 1|`` plus its measurements' summed ``_excess``
+    exceeds their smallest ``tol.prob`` is refused with `NotCompleteError`.
     """
 
     __test__ = False  # keep pytest from collecting the library class
@@ -151,9 +154,19 @@ class Test:
                     f"measurement {m.name!r} has dimension {m.dim}, "
                     f"test state has {self.rho.dim}"
                 )
+        # to first order a probability strays outside [0, 1] by at most this
+        # budget, which the probability clamp would report as a library fault
+        rho, prob = self.rho.matrix, min(m.tol.prob for m in self.measurements)
+        budget = abs(trace(rho).real - 1.0) + sum(m._excess for m in self.measurements)
+        if budget > prob:
+            raise NotCompleteError(
+                f"the test's trace and completeness budget {budget:.3e} exceeds tol.prob {prob:.1e}, "
+                "so its probabilities could stray outside [0,1]",
+                budget=budget,
+            )
         complete = tuple(m._complete for m in self.measurements)
         object.__setattr__(self, "_complete", complete)
-        tau = accumulate(complete[:-1], lambda w, channel: channel(w), initial=self.rho.matrix)
+        tau = accumulate(complete[:-1], lambda w, channel: channel(w), initial=rho)
         object.__setattr__(self, "_tau", tuple(tau))
 
     @property

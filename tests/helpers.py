@@ -103,6 +103,17 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
+def overcomplete_pair(dim: int, excess: float) -> dict[str, np.ndarray]:
+    """``{sqrt(1 + excess) P, sqrt(1 + excess) (I - P)}``, P onto the first half of the basis.
+
+    Its ``sum K^dagger K`` is ``(1 + excess) I``, so its completeness residual
+    is *excess*, which the default ``tol.complete`` admits below 1e-9.
+    """
+    half = np.diag(np.arange(dim) < dim // 2).astype(float)
+    scale = np.sqrt(1 + excess)
+    return {"0": scale * half, "1": scale * (np.eye(dim) - half)}
+
+
 def complemented(a, slots):
     """*a* with the event at each of *slots* replaced by its complement.
 

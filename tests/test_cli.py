@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import helpers
 from helpers import count_channel_work
 from test_lll import two_qubit_instance
 from qlll import cli
@@ -623,6 +624,30 @@ def test_negative_eigenvalues_that_sum_past_the_tolerance_fail_at_load(capsys, t
     assert code == 2
     assert out["error"]["type"] == "NotPositive"
     assert out["error"]["detail"]["negative_mass"] == pytest.approx(-7.2e-9, rel=1e-6)
+
+
+def test_a_summed_completeness_excess_past_tol_prob_fails_at_load(capsys, tmp_path):
+    # six d=8 measurements, each within tol.complete of complete, whose
+    # excesses add up to 5.4e-9: the marginal of the first two complete
+    # events used to read 1.0000000018 and end in InternalConsistency
+    dim, excess = 8, 0.9e-9
+    kraus = helpers.overcomplete_pair(dim, excess)
+    doc = {
+        "version": 1,
+        "dim": dim,
+        "state": matrix_to_json(np.eye(dim) / dim),
+        "measurements": [
+            {"name": f"M{i}", "outcomes": list(kraus), "kraus": [matrix_to_json(k) for k in kraus.values()]}
+            for i in range(1, 7)
+        ],
+        "events": [{"measurement": i, "in": list(kraus)} for i in (1, 2)],
+    }
+    path = tmp_path / "overcomplete.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1,2")
+    assert code == 2
+    assert out["error"]["type"] == "NotComplete"
+    assert out["error"]["detail"]["budget"] == pytest.approx(6 * excess, rel=1e-6)
 
 
 def test_non_integer_slot_index_exits_2(capsys, ref_file):

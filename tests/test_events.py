@@ -361,7 +361,7 @@ def _counted_peels(monkeypatch) -> list[tuple[int, bool]]:
 
 @pytest.mark.parametrize("kind, n, local_dim, window", _PRODUCT_SHAPES)
 def test_generated_operators_take_one_peel_per_prime_and_side(monkeypatch, kind, n, local_dim, window):
-    # the first power tried, the largest the column-0 bound allows, is exact
+    # the first divisor tried on each side, the largest its bound allows, is exact
     a = _product_instance(kind, n, local_dim, window)
     calls = _counted_peels(monkeypatch)
     for m in a.test.measurements:
@@ -383,3 +383,54 @@ def test_a_peel_that_fails_steps_down_to_the_largest_exact_power(monkeypatch):
     calls.clear()
     assert Measurement("M", {"0": ops[0], "1": ops[1]})._window == (2, 1)
     assert calls == [(8, True), (4, True), (2, True), (2, False)]
+
+
+def _reference_factors(ops, dim: int) -> tuple[int, int]:
+    """The largest l, then the largest r, such that np.kron rebuilds every operator in *ops* as I_l (x) k (x) I_r."""
+    def rebuilds(l, r):
+        w = dim // (l * r)
+        return all(
+            np.array_equal(np.kron(np.kron(np.eye(l), op[: w * r : r, : w * r : r]), np.eye(r)), op) for op in ops
+        )
+
+    divisors = [q for q in range(1, dim + 1) if dim % q == 0]
+    l = max(q for q in divisors if rebuilds(q, 1))
+    return l, max(q for q in divisors if (dim // l) % q == 0 and rebuilds(l, q))
+
+
+def _middle(kind: str, rng, w: int) -> np.ndarray:
+    if kind == "dense":
+        return rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(w) + 1j * rng.standard_normal(w))
+    k = np.zeros((w, w))
+    k[rng.integers(w), rng.integers(w)] = 1.5
+    return k
+
+
+@pytest.mark.parametrize("middle", ["dense", "diagonal", "one-entry"])
+@pytest.mark.parametrize("dim", [6, 12, 18, 24, 36, 48, 60])
+def test_composite_dimensions_find_the_largest_identity_factors(dim, middle):
+    # every split I_l (x) k (x) I_r of a dimension with several primes, over a
+    # stack of two middle factors of one kind
+    rng = np.random.default_rng(dim)
+    divisors = [q for q in range(1, dim + 1) if dim % q == 0]
+    for l in divisors:
+        for r in (q for q in divisors if (dim // l) % q == 0):
+            w = dim // (l * r)
+            ops = [np.kron(np.kron(np.eye(l), _middle(middle, rng, w)), np.eye(r)) for _ in range(2)]
+            expected = _reference_factors(ops, dim)
+            assert events._identity_factors(ops, dim) == expected, (l, r)
+            if middle == "dense":  # a dense middle factor splits no identity off
+                assert expected == ((l, r) if w > 1 else (dim, 1))
+
+
+def test_channels_keep_the_spectrum_order():
+    # an event's outcomes are a set; sorted_outcomes and every channel built
+    # from it follow the order the measurement declared them in
+    m = Measurement("M", {"b": np.diag([1.0, 0, 0]), "c": np.diag([0, 1.0, 0]), "a": np.diag([0, 0, 1.0])})
+    event = Event(m, ["a", "b"])
+    assert event.sorted_outcomes() == ["b", "a"]
+    channel = super_operator_of(event)
+    assert channel.kraus == (m.kraus["b"], m.kraus["a"])
+    assert channel.products == (m._products["b"], m._products["a"])

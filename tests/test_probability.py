@@ -15,10 +15,11 @@ from qlll.errors import (
     ConditionOnZeroError,
     DimensionMismatchError,
     MissingAssignmentError,
+    NotCompleteError,
     QlllError,
     ValidationError,
 )
-from qlll.events import Event, SuperOperator, complement, complete_event, empty_event
+from qlll.events import Event, Measurement, SuperOperator, complement, complete_event, empty_event
 from qlll.generate import (
     GeneratorKind,
     GeneratorSpec,
@@ -156,6 +157,31 @@ def test_state_probability_rejects_event_of_other_dimension():
 def test_test_needs_a_measurement():
     with pytest.raises(ValidationError, match="at least one measurement"):
         Test(plus_state(), ())
+
+
+@pytest.mark.parametrize("dim, n, excess, trace_error", [(8, 6, 0.9e-9, 0.0), (2, 1, 0.95e-9, 0.9e-10)])
+def test_a_trace_and_completeness_budget_past_tol_prob_is_refused(dim, n, excess, trace_error):
+    # each measurement and the state pass their own checks, but the complete
+    # channels add their excesses to the trace's: the marginal of the first
+    # two (six d=8 slots) or first one (one d=2 slot, trace 1 + 0.9e-10)
+    # complete events used to read 1.0000000018 or 1.00000000104, past the clamp
+    measurements = [Measurement(f"M{i}", helpers.overcomplete_pair(dim, excess)) for i in range(1, n + 1)]
+    assert [m._excess for m in measurements] == pytest.approx([excess] * n, rel=1e-6)
+    rho = validate_density(np.eye(dim) * (1 + trace_error) / dim)
+    with pytest.raises(NotCompleteError, match="completeness budget") as exc:
+        Test(rho, measurements)
+    assert exc.value.detail["budget"] == pytest.approx(trace_error + n * excess, rel=1e-6)
+    # one slot at a unit trace stays inside the budget, and so do its probabilities
+    test = Test(validate_density(np.eye(dim) / dim), measurements[:1])
+    assert pr_test_marginal(TestEventAssignment(test, {1: complete_event(measurements[0])}), (1,)) == 1.0
+
+
+def test_generated_budgets_are_far_below_tol_prob(pool40):
+    shapes = [(GeneratorKind.TENSOR_PRODUCT, 6, 2, 1), (GeneratorKind.SLIDING_WINDOW, 5, 2, 2)]
+    d64 = [generate(GeneratorSpec(kind=k, n=n, local_dim=d, window=w, seed=1)) for k, n, d, w in shapes]
+    for a in pool40 + d64:
+        trace_error = abs(np.trace(a.test.rho.matrix).real - 1.0)
+        assert trace_error + sum(m._excess for m in a.test.measurements) <= 1e-12
 
 
 def test_assignment_rejects_slot_past_the_test(zx):

@@ -179,6 +179,19 @@ def test_each_argument_rule_has_one_home():
     assert _call_sites(lambda f: ast.unparse(f) == "BadOrderingError") == ["probability.py:_ordered"]
 
 
+def test_completeness_is_refused_where_measurements_and_tests_are_built():
+    # a measurement refuses its own residual and a test the summed budget of
+    # its slots; a query that raised NotCompleteError would refuse an input
+    # the constructors had admitted
+    sites = _call_sites(lambda f: ast.unparse(f) == "NotCompleteError")
+    assert sorted(sites) == ["events.py:Measurement.__post_init__", "probability.py:Test.__post_init__"]
+
+
+def test_only_the_factor_search_peels():
+    # one descending scan per side; a second caller would be a second search
+    assert _call_sites(lambda f: ast.unparse(f) == "_peel") == ["events.py:_identity_factors"] * 2
+
+
 def test_walks_start_at_tau_and_read_their_last_channel():
     # every probability reads its last channel as an effect (trace_of), so
     # trace() only ever sees a state already walked; test-relative walks start
