@@ -274,6 +274,8 @@ def _identity_factors(ops: Sequence[np.ndarray], dim: int) -> tuple[int, int]:
 class SuperOperator:
     """Completely positive, trace non-increasing map ``rho -> sum_m K_m rho K_m^dagger``.
 
+    A dense channel applies its ``K_m``, stacked with their adjoints when first
+    applied, as one batched product and sums the terms in spectrum order.
     With ``window = (l, r)`` past ``(1, 1)`` every ``K_m`` is ``I_l (x) k_m (x) I_r``,
     and the map applies ``sum_m k_m (x) conj(k_m)``, the natural matrix of the
     middle factor, to the ``w x w`` blocks of rho; the effect stays dense.
@@ -287,10 +289,10 @@ class SuperOperator:
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
         l, r = self.window
         if l * r == 1:
-            out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            for k in self.kraus:
-                out += k @ sigma @ k.conj().T
-            return out
+            stack, adjoints = self._stacks
+            # summed in spectrum order from +0.0 zeros, as a loop over the K_m adds the
+            # terms, signs of zero included (np.add.reduce would sum many pairwise)
+            return sum(stack @ sigma @ adjoints, np.zeros((self.dim, self.dim), dtype=np.complex128))
         w = self.dim // (l * r)
         # sigma[a, i, b, a', i', b'] -> rows (i, i'), columns (a, b, a', b')
         blocks = sigma.reshape(l, w, r, l, w, r).transpose(1, 4, 0, 2, 3, 5).reshape(w * w, -1)
@@ -306,6 +308,14 @@ class SuperOperator:
             k = k.reshape(l, w, r, l, w, r)[0, :, 0, 0, :, 0]
             out += k[:, None, :, None] * k.conj()[None, :, None, :]  # [i, i', j, j'] = k[i, j] conj(k[i', j'])
         return out.reshape(w * w, w * w)
+
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:  # the K_m as one (m, d, d) array and their adjoints
+        stack = np.array(self.kraus).reshape(-1, self.dim, self.dim)
+        adjoints = stack.conj().transpose(0, 2, 1)
+        stack.setflags(write=False)
+        adjoints.setflags(write=False)
+        return stack, adjoints
 
     @cached_property
     def _effect(self) -> np.ndarray:  # the POVM element E = sum K^dagger K, built when first read

@@ -103,17 +103,26 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def ginibre_state(dim: int, rng: np.random.Generator) -> DensityOperator:
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return validate_density(rho)
+    return rho
+
+
+def ginibre_state(dim: int, rng: np.random.Generator) -> DensityOperator:
+    return validate_density(_ginibre(dim, rng))
 
 
 def random_projective_measurement(
     dim: int, k: int, rng: np.random.Generator, name: str
 ) -> Measurement:
     """Haar-random orthonormal basis, grouped into *k* projectors."""
+    return Measurement(name, _projectors(dim, k, rng))
+
+
+def _projectors(dim: int, k: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Label -> projector of `random_projective_measurement`, drawn without building the measurement."""
     if not (2 <= k <= dim):
         raise ValidationError(f"need 2 <= outcomes <= dim, got {k} with dim {dim}")
     u = haar_unitary(dim, rng)
@@ -126,7 +135,7 @@ def random_projective_measurement(
         block = u[:, col : col + size]
         col += size
         kraus[str(m)] = block @ block.conj().T
-    return Measurement(name, kraus)
+    return kraus
 
 
 def random_povm_measurement(
@@ -230,7 +239,7 @@ def _reference_instance() -> TestEventAssignment:
 def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> DensityOperator:
     state = np.array([[1.0]], dtype=complex)
     for _ in range(count):
-        state = _kron(state, ginibre_state(local_dim, rng).matrix)
+        state = _kron(state, _ginibre(local_dim, rng))
     return validate_density(state)
 
 
@@ -240,12 +249,8 @@ def _product_state(count: int, local_dim: int, rng: np.random.Generator) -> Dens
 
 def _tensor_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:
     k = _spectrum_size(spec, rng, spec.local_dim)
-    local = random_projective_measurement(spec.local_dim, k, rng, f"M{i}")
-    kraus = {
-        lab: _embed(local.kraus[lab], i - 1, 1, sites, spec.local_dim)
-        for lab in local.spectrum
-    }
-    return Measurement(f"M{i}", kraus)
+    kraus = _projectors(spec.local_dim, k, rng)
+    return Measurement(f"M{i}", {lab: _embed(op, i - 1, 1, sites, spec.local_dim) for lab, op in kraus.items()})
 
 
 def _window_slot(spec: GeneratorSpec, rng: np.random.Generator, i: int, sites: int) -> Measurement:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -147,6 +147,7 @@ class DensityOperator:
     """A validated unit-trace density operator; build it with :func:`validate_density`."""
 
     matrix: np.ndarray
+    _negative: float = field(default=0.0, compare=False, repr=False)  # the sum of its negative eigenvalues
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensityOperator):
@@ -215,4 +216,4 @@ def validate_density(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOpera
         raise BadTraceError(
             f"full state must have unit trace, got {tr_re!r}", trace=tr_re
         )
-    return DensityOperator(matrix=m)
+    return DensityOperator(matrix=m, _negative=negative)

@@ -135,8 +135,9 @@ class Test:
     ``_complete`` holds the measurements' own complete channels and ``_tau[j]``
     is rho through those of slots 1..j (j < n); they hold no event, so every
     walk in the test starts at the ``tau`` before its first unpadded slot.
-    A test whose ``|tr rho - 1|`` plus its measurements' summed ``_excess``
-    exceeds their smallest ``tol.prob`` is refused with `NotCompleteError`.
+    A test whose ``|tr rho - 1|``, plus the state's negative mass and its
+    measurements' summed ``_excess``, exceeds their smallest ``tol.prob`` is
+    refused with `NotCompleteError`.
     """
 
     __test__ = False  # keep pytest from collecting the library class
@@ -155,13 +156,14 @@ class Test:
                     f"test state has {self.rho.dim}"
                 )
         # to first order a probability strays outside [0, 1] by at most this
-        # budget, which the probability clamp would report as a library fault
+        # budget, which the probability clamp would report as a library fault;
+        # an event can select the whole positive part of rho, of trace tr rho + |negative|
         rho, prob = self.rho.matrix, min(m.tol.prob for m in self.measurements)
-        budget = abs(trace(rho).real - 1.0) + sum(m._excess for m in self.measurements)
+        budget = abs(trace(rho).real - 1.0) + abs(self.rho._negative) + sum(m._excess for m in self.measurements)
         if budget > prob:
             raise NotCompleteError(
-                f"the test's trace and completeness budget {budget:.3e} exceeds tol.prob {prob:.1e}, "
-                "so its probabilities could stray outside [0,1]",
+                f"the test's trace, negative-mass and completeness budget {budget:.3e} "
+                f"exceeds tol.prob {prob:.1e}, so its probabilities could stray outside [0,1]",
                 budget=budget,
             )
         complete = tuple(m._complete for m in self.measurements)

@@ -626,6 +626,25 @@ def test_negative_eigenvalues_that_sum_past_the_tolerance_fail_at_load(capsys, t
     assert out["error"]["detail"]["negative_mass"] == pytest.approx(-7.2e-9, rel=1e-6)
 
 
+def test_a_negative_mass_past_the_budget_fails_at_load(capsys, tmp_path):
+    # the state and the measurement pass their own checks, but the event {0}
+    # selects the state's whole positive part: the marginal used to read
+    # 1.00000000104 and end in InternalConsistency
+    kraus = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+    doc = {
+        "version": 1,
+        "dim": 2,
+        "state": matrix_to_json(np.diag([1 + 0.95e-9 + 0.9e-10, -0.95e-9])),
+        "measurements": [{"name": "Z", "outcomes": ["0", "1"], "kraus": kraus}],
+        "events": [{"measurement": 1, "in": ["0"]}],
+    }
+    path = tmp_path / "negative-mass-budget.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    assert code == 2
+    assert out["error"]["type"] == "NotComplete"
+
+
 def test_a_summed_completeness_excess_past_tol_prob_fails_at_load(capsys, tmp_path):
     # six d=8 measurements, each within tol.complete of complete, whose
     # excesses add up to 5.4e-9: the marginal of the first two complete

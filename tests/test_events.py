@@ -33,6 +33,7 @@ from qlll.generate import (
     computational_measurement,
     generate,
     plus_state,
+    random_povm_measurement,
     zx_measurement_pair,
 )
 from qlll.independence import compute_profile
@@ -434,3 +435,64 @@ def test_channels_keep_the_spectrum_order():
     channel = super_operator_of(event)
     assert channel.kraus == (m.kraus["b"], m.kraus["a"])
     assert channel.products == (m._products["b"], m._products["a"])
+
+
+def _kraus_loop(channel: SuperOperator, sigma: np.ndarray) -> np.ndarray:
+    """The reference a dense channel must match bit for bit: one term per K_m, added in spectrum order from zeros."""
+    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for k in channel.kraus:
+        out += k @ sigma @ k.conj().T
+    return out
+
+
+def _generic_state(rng, dim: int) -> np.ndarray:
+    # non-Hermitian, so a transpose without its conjugate shows on any complex K_m
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def test_dense_pool_channels_match_the_kraus_loop_to_the_bit():
+    # every complete, hit, miss and empty channel of build_pool(40) and its
+    # complemented variants, the window ones through the dense route too, on
+    # the test's tau before the slot and on a generic state
+    rng = np.random.default_rng(40)
+    for a in build_pool(40):
+        for b in (a, complemented(a, a.assigned())):
+            for i, m in enumerate(b.test.measurements, start=1):
+                states = (b.test._tau[i - 1], _generic_state(rng, m.dim))
+                for channel in (m._complete, b.event(i)._hit, b.event(i)._miss, super_operator_of(empty_event(m))):
+                    for sigma in states:
+                        assert same_bits(_dense(channel)(sigma), _kraus_loop(channel, sigma)), (b, i)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+def test_dense_povm_channels_match_the_kraus_loop_to_the_bit(dim):
+    # up to 12 outcomes: at d=1 np.add.reduce would switch to pairwise sums
+    rng = np.random.default_rng(dim)
+    for k in (2, 3, 8, 12):
+        m = random_povm_measurement(dim, k, rng, "M")
+        sigma = _generic_state(rng, dim)
+        for outcomes in (m.spectrum, m.spectrum[:1], m.spectrum[1 : k // 2 + 1], ()):
+            channel = super_operator_of(Event(m, outcomes))
+            assert channel.window == (1, 1)
+            assert same_bits(channel(sigma), _kraus_loop(channel, sigma)), (k, outcomes)
+
+
+def test_a_negative_zero_in_the_first_term_is_summed_from_positive_zeros():
+    # the first term reads -0.0 at (0, 1); added to +0.0 it gives +0.0, as the
+    # loop does, where a sum seeded with that term would keep the -0.0
+    k = np.array([[1, complex(-0.0, -1)], [-2 - 1j, complex(-0.0, -1)]])
+    sigma = np.array([[-1 - 1j, complex(-0.0, 0)], [1j, -1]])
+    assert np.signbit((k @ sigma @ k.conj().T)[0, 1].real)
+    for count in (1, 2):
+        channel = SuperOperator(kraus=(k,) * count, dim=2, products=(k.conj().T @ k,) * count)
+        out = channel(sigma)
+        assert same_bits(out, _kraus_loop(channel, sigma)) and not np.signbit(out[0, 1].real)
+
+
+def test_a_dense_channel_stacks_its_operators_once():
+    channel = computational_measurement(3)._complete
+    channel(np.eye(3) / 3)
+    stack, adjoints = channel._stacks
+    channel(np.eye(3) / 3)
+    assert channel._stacks[0] is stack and channel._stacks[1] is adjoints
+    assert not stack.flags.writeable and not adjoints.flags.writeable

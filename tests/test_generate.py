@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import re
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from helpers import complemented, pool_spec, rarefy_events, same_bits
 from qlll.errors import ConditionOnZeroError, DimensionCapError, ValidationError
-from qlll.events import complete_event
+from qlll.events import Measurement, complete_event
 from qlll.generate import (
     MAX_KRAUS_ENTRIES,
     _READS,
@@ -412,6 +413,28 @@ CONSTRUCTION_DIGESTS = {
 @pytest.mark.parametrize("kind", list(GeneratorKind), ids=lambda k: k.value)
 def test_construction_bits_are_pinned(kind):
     assert _construction_digests(kind) == CONSTRUCTION_DIGESTS[kind]
+
+
+def test_a_tensor_product_instance_builds_one_measurement_per_slot_and_validates_one_state(monkeypatch):
+    # the local projectors are embedded without a local Measurement, and the
+    # site states are drawn without validate_density: only the product is checked
+    module = importlib.import_module("qlll.generate")  # qlll.generate names the function
+    built, validated = [], []
+    measurement_init, validate = Measurement.__post_init__, module.validate_density
+
+    def counting_init(self):
+        built.append(self)
+        measurement_init(self)
+
+    def counting_validate(matrix, *args, **kwargs):
+        validated.append(matrix)
+        return validate(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(Measurement, "__post_init__", counting_init)
+    monkeypatch.setattr(module, "validate_density", counting_validate)
+    a = generate(GeneratorSpec(kind=GeneratorKind.TENSOR_PRODUCT, n=6, local_dim=2, seed=1))
+    assert len(built) == 6 and all(m.dim == 64 for m in built)
+    assert len(validated) == 1 and np.array_equal(validated[0], a.test.rho.matrix)
 
 
 def test_kron_helper_makes_the_products_of_np_kron():

@@ -176,6 +176,19 @@ def test_a_trace_and_completeness_budget_past_tol_prob_is_refused(dim, n, excess
     assert pr_test_marginal(TestEventAssignment(test, {1: complete_event(measurements[0])}), (1,)) == 1.0
 
 
+def test_a_states_negative_mass_joins_the_budget():
+    # the state passes its own check (negative mass -0.95e-9, trace 1 + 0.9e-10)
+    # and the measurement is exactly complete, but the event {0} selects the
+    # whole positive part: its marginal used to read 1.00000000104, past the clamp
+    rho = validate_density(np.diag([1 + 0.95e-9 + 0.9e-10, -0.95e-9]))
+    assert rho._negative == pytest.approx(-0.95e-9)
+    with pytest.raises(NotCompleteError, match="negative-mass and completeness budget") as exc:
+        Test(rho, (computational_measurement(2),))
+    assert exc.value.detail["budget"] == pytest.approx(0.95e-9 + 0.9e-10, rel=1e-6)
+    # the same mass on a unit trace stays inside the budget
+    assert Test(validate_density(np.diag([1 + 0.95e-9, -0.95e-9])), (computational_measurement(2),)).n == 1
+
+
 def test_generated_budgets_are_far_below_tol_prob(pool40):
     shapes = [(GeneratorKind.TENSOR_PRODUCT, 6, 2, 1), (GeneratorKind.SLIDING_WINDOW, 5, 2, 2)]
     d64 = [generate(GeneratorSpec(kind=k, n=n, local_dim=d, window=w, seed=1)) for k, n, d, w in shapes]

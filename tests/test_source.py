@@ -94,6 +94,12 @@ def test_kraus_products_are_formed_once_and_kron_nowhere():
     assert _call_sites(lambda f: ast.unparse(f).split(".")[-1] == "kron") == []
 
 
+def test_a_channel_forms_no_adjoint_per_application():
+    # a dense channel stacks its operators and their adjoints once, when first
+    # applied; a conj() in __call__ would form them again on every call
+    assert "events.py:SuperOperator.__call__" not in _call_sites(lambda f: getattr(f, "attr", None) == "conj")
+
+
 def test_every_library_class_is_a_frozen_dataclass():
     # library values are immutable and compare by value; only exceptions,
     # enums, the forward walk (it advances) and the argument parser are not
