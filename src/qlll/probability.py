@@ -44,10 +44,10 @@ def _clamp_probability(p: float, tol: ToleranceConfig) -> float:
 
 
 def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
-    # num <= denom is a theorem; float evaluation from scratch can still push
-    # the ratio a hair above 1 when denom is small, so allow an absolute
-    # rounding budget before calling it a bug.
-    if num > denom + 1e-12 + tol.prob * denom:
+    # num <= denom is a theorem; an admitted input can push num past denom by its
+    # trace, negative-mass and completeness budget, at most tol.prob however small
+    # denom is, and rounding adds a hair, so allow both before calling it a bug.
+    if num > denom + 1e-12 + tol.prob:
         raise InternalConsistencyError(
             f"conditional probability {num!r}/{denom!r} exceeds one beyond rounding",
             numerator=num,
@@ -56,15 +56,11 @@ def _ratio(num: float, denom: float, tol: ToleranceConfig) -> float:
     return min(num / denom, 1.0)
 
 
-def _channels(rho: DensityOperator, seq: Sequence[Event]):
-    """Each event's channel, once its dimension is checked against *rho*."""
-    for e in seq:
-        if e.measurement.dim != rho.dim:
-            raise DimensionMismatchError(
-                f"event on measurement {e.measurement.name!r} has dimension "
-                f"{e.measurement.dim}, state has {rho.dim}"
-            )
-        yield e._hit
+def _channels(rho: DensityOperator, seq: Sequence[Event]) -> list[SuperOperator]:
+    """Each event's hit channel, once *rho* and the sequence's measurements are admitted as a `Test`."""
+    if seq:  # a measurement repeated k times counts k times in the test's budget
+        Test(rho, tuple(e.measurement for e in seq))
+    return [e._hit for e in seq]
 
 
 def _walk(sigma, channels: Iterable[SuperOperator]):
@@ -86,8 +82,13 @@ def pr_state(rho: DensityOperator, seq: Sequence[Event], tol: ToleranceConfig = 
 
     The first event in *seq* is performed first.  An empty sequence has
     probability ``trace(rho)``, which is one up to rounding.
+
+    Raises
+    ------
+    DimensionMismatchError, NotCompleteError
+        If *rho* and the events' measurements, each repeat counted, are refused as a `Test`.
     """
-    return _clamp_probability(_read(rho.matrix, list(_channels(rho, seq))), tol)
+    return _clamp_probability(_read(rho.matrix, _channels(rho, list(seq))), tol)
 
 
 def _cond(sigma, given, then, tol: ToleranceConfig, subject: str, resume=None, **detail) -> float:
@@ -121,11 +122,13 @@ def pr_state_cond(
 
     Raises
     ------
+    DimensionMismatchError, NotCompleteError
+        As `pr_state` raises them for ``given + then``, before the walk.
     ConditionOnZeroError
         If ``pr_state(rho, given)`` is at most ``tol.prob``.
     """
-    subject = "conditioning sequence has"
-    return _cond(rho.matrix, _channels(rho, given), _channels(rho, then), tol, subject)
+    channels, k = _channels(rho, [*given, *then]), len(given)
+    return _cond(rho.matrix, channels[:k], channels[k:], tol, "conditioning sequence has")
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,7 @@ class Test:
             raise ValidationError("a test needs at least one measurement")
         for m in self.measurements:
             if m.dim != self.rho.dim:
-                raise DimensionMismatchError(
-                    f"measurement {m.name!r} has dimension {m.dim}, "
-                    f"test state has {self.rho.dim}"
-                )
+                raise DimensionMismatchError(f"measurement {m.name!r} has dimension {m.dim}, state has {self.rho.dim}")
         # to first order a probability strays outside [0, 1] by at most this
         # budget, which the probability clamp would report as a library fault;
         # an event can select the whole positive part of rho, of trace tr rho + |negative|

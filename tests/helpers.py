@@ -114,6 +114,17 @@ def overcomplete_pair(dim: int, excess: float) -> dict[str, np.ndarray]:
     return {"0": scale * half, "1": scale * (np.eye(dim) - half)}
 
 
+# the ratio probe: M1 in {12} selects the small eigenvalue 2.5e-9 and the
+# negative one, so the conditioning marginal reads 2e-9, and M2 in {1} then
+# selects 2.5e-9 alone; the state's budget is its negative mass, 0.5e-9
+RATIO_PROBE_STATE = np.diag([1 - 2e-9, 2.5e-9, -0.5e-9])
+RATIO_PROBE_KRAUS = {
+    "M1": {"0": np.diag([1.0, 0.0, 0.0]), "12": np.diag([0.0, 1.0, 1.0])},
+    "M2": {"1": np.diag([0.0, 1.0, 0.0]), "02": np.diag([1.0, 0.0, 1.0])},
+}
+RATIO_PROBE_EVENTS = (("12",), ("1",))
+
+
 def complemented(a, slots):
     """*a* with the event at each of *slots* replaced by its complement.
 

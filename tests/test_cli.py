@@ -604,23 +604,29 @@ def test_entries_near_the_float_limit_give_a_json_error(capsys, ref_file, tmp_pa
     assert caught == []
 
 
+def _write_instance(path, state, kraus_by_name, events) -> str:
+    doc = {
+        "version": 1,
+        "dim": state.shape[0],
+        "state": matrix_to_json(state),
+        "measurements": [
+            {"name": name, "outcomes": list(kraus), "kraus": [matrix_to_json(k) for k in kraus.values()]}
+            for name, kraus in kraus_by_name.items()
+        ],
+        "events": [{"measurement": i, "in": list(outcomes)} for i, outcomes in enumerate(events, start=1)],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_negative_eigenvalues_that_sum_past_the_tolerance_fail_at_load(capsys, tmp_path):
     # each eigenvalue is within tol.psd of zero, but the projector onto all
     # eight selects their sum, -7.2e-9: the marginal used to stray below 0
     # and raise InternalConsistency
-    dim = 16
     state = np.diag([-0.9e-9] * 8 + [1 / 8 + 0.9e-9] * 8)
     hit = np.diag([1.0] * 8 + [0.0] * 8)
-    doc = {
-        "version": 1,
-        "dim": dim,
-        "state": matrix_to_json(state),
-        "measurements": [{"name": "M1", "outcomes": ["0", "1"], "kraus": [matrix_to_json(hit), matrix_to_json(np.eye(dim) - hit)]}],
-        "events": [{"measurement": 1, "in": ["0"]}],
-    }
-    path = tmp_path / "negative-mass.json"
-    path.write_text(json.dumps(doc))
-    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    path = _write_instance(tmp_path / "negative-mass.json", state, {"M1": {"0": hit, "1": np.eye(16) - hit}}, [["0"]])
+    code, out = run(capsys, "prob", "--instance", path, "--K", "1")
     assert code == 2
     assert out["error"]["type"] == "NotPositive"
     assert out["error"]["detail"]["negative_mass"] == pytest.approx(-7.2e-9, rel=1e-6)
@@ -630,17 +636,10 @@ def test_a_negative_mass_past_the_budget_fails_at_load(capsys, tmp_path):
     # the state and the measurement pass their own checks, but the event {0}
     # selects the state's whole positive part: the marginal used to read
     # 1.00000000104 and end in InternalConsistency
-    kraus = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
-    doc = {
-        "version": 1,
-        "dim": 2,
-        "state": matrix_to_json(np.diag([1 + 0.95e-9 + 0.9e-10, -0.95e-9])),
-        "measurements": [{"name": "Z", "outcomes": ["0", "1"], "kraus": kraus}],
-        "events": [{"measurement": 1, "in": ["0"]}],
-    }
-    path = tmp_path / "negative-mass-budget.json"
-    path.write_text(json.dumps(doc))
-    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1")
+    state = np.diag([1 + 0.95e-9 + 0.9e-10, -0.95e-9])
+    kraus = {"0": np.diag([1.0, 0.0]), "1": np.diag([0.0, 1.0])}
+    path = _write_instance(tmp_path / "negative-mass-budget.json", state, {"Z": kraus}, [["0"]])
+    code, out = run(capsys, "prob", "--instance", path, "--K", "1")
     assert code == 2
     assert out["error"]["type"] == "NotComplete"
 
@@ -651,22 +650,39 @@ def test_a_summed_completeness_excess_past_tol_prob_fails_at_load(capsys, tmp_pa
     # events used to read 1.0000000018 and end in InternalConsistency
     dim, excess = 8, 0.9e-9
     kraus = helpers.overcomplete_pair(dim, excess)
-    doc = {
-        "version": 1,
-        "dim": dim,
-        "state": matrix_to_json(np.eye(dim) / dim),
-        "measurements": [
-            {"name": f"M{i}", "outcomes": list(kraus), "kraus": [matrix_to_json(k) for k in kraus.values()]}
-            for i in range(1, 7)
-        ],
-        "events": [{"measurement": i, "in": list(kraus)} for i in (1, 2)],
-    }
-    path = tmp_path / "overcomplete.json"
-    path.write_text(json.dumps(doc))
-    code, out = run(capsys, "prob", "--instance", str(path), "--K", "1,2")
+    measurements = {f"M{i}": kraus for i in range(1, 7)}
+    path = _write_instance(tmp_path / "overcomplete.json", np.eye(dim) / dim, measurements, [list(kraus)] * 2)
+    code, out = run(capsys, "prob", "--instance", path, "--K", "1,2")
     assert code == 2
     assert out["error"]["type"] == "NotComplete"
     assert out["error"]["detail"]["budget"] == pytest.approx(6 * excess, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "--seq", ";".join(["full(M1)"] * 6)],
+    ["cond", "--K", "full(M1);full(M1)", "--L", ";".join(["full(M1)"] * 4)],
+])
+def test_a_repeated_measurement_counts_once_per_occurrence_in_state_mode(capsys, tmp_path, argv):
+    # the file's one d=8 measurement, 0.9e-9 past complete, loads; six
+    # occurrences of it in one sequence add up to 5.4e-9, which used to read
+    # 1.0000000054 (1.0000000018) and end in InternalConsistency
+    dim, excess = 8, 0.9e-9
+    path = _write_instance(tmp_path / "repeated.json", np.eye(dim) / dim,
+                           {"M1": helpers.overcomplete_pair(dim, excess)}, [["0"]])
+    code, out = run(capsys, argv[0], "--instance", path, "--mode", "state", *argv[1:])
+    assert code == 2
+    assert out["error"]["type"] == "NotComplete"
+    assert out["error"]["detail"]["budget"] == pytest.approx(6 * excess, rel=1e-6)
+
+
+def test_a_conditional_above_its_small_denominator_by_the_budget_is_one(capsys, tmp_path):
+    # the conditioning marginal reads 2e-9 and the joint 2.5e-9, past the old
+    # relative allowance of the ratio check, which exited 2 with InternalConsistency
+    path = _write_instance(tmp_path / "ratio.json", helpers.RATIO_PROBE_STATE,
+                           helpers.RATIO_PROBE_KRAUS, helpers.RATIO_PROBE_EVENTS)
+    code, out = run(capsys, "cond", "--instance", path, "--K", "1", "--L", "2")
+    assert code == 0
+    assert out["value"] == 1.0
 
 
 def test_non_integer_slot_index_exits_2(capsys, ref_file):

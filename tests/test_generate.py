@@ -19,6 +19,8 @@ from qlll.generate import (
     _kron,
     generate,
     generate_assumption_satisfying,
+    random_povm_measurement,
+    random_projective_measurement,
     worked_examples,
 )
 from qlll import independence
@@ -169,6 +171,17 @@ def test_read_table_matches_behaviour(kind):
     for field, value in READ_VARIED.items():
         varied = dumps(generate(GeneratorSpec(kind=kind, **{**READ_BASE, field: value})))
         assert (varied != base) == (field in _READS[kind]), field
+
+
+@pytest.mark.parametrize("draw, k, message", [
+    (random_projective_measurement, 1, "need 2 <= outcomes <= dim, got 1 with dim 3"),
+    (random_projective_measurement, 4, "need 2 <= outcomes <= dim, got 4 with dim 3"),
+    (random_povm_measurement, 1, "need at least 2 outcomes, got 1"),
+], ids=["projective-1", "projective-4", "povm-1"])
+def test_a_direct_draw_refuses_an_impossible_outcome_count(draw, k, message):
+    # generate() refuses these counts in its spec; the draws check them again for direct callers
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        draw(3, k, np.random.default_rng(0), "M")
 
 
 def test_sliding_window_label_check_comes_before_the_dimension_cap():

@@ -134,6 +134,14 @@ def test_validate_density_rejects_bad_trace():
         validate_density([[0.6, 0.0], [0.0, 0.6]])
 
 
+def test_validate_density_rejects_an_imaginary_trace_its_entries_pass():
+    # each diagonal entry's imaginary part, 0.4e-10, leaves a Hermiticity
+    # residual of 0.8e-10 inside tol.herm; the 64 of them sum to 2.56e-9
+    with pytest.raises(BadTraceError, match="trace has imaginary part 2.560e-09") as exc:
+        validate_density(np.eye(64) * (1 / 64 + 0.4e-10j))
+    assert exc.value.detail["trace_imag"] == pytest.approx(2.56e-9)
+
+
 def test_dimension_cap_default(monkeypatch):
     monkeypatch.delenv(DIM_CAP_ENV, raising=False)
     assert dimension_cap() == DEFAULT_DIM_CAP == 64

@@ -189,6 +189,48 @@ def test_a_states_negative_mass_joins_the_budget():
     assert Test(validate_density(np.diag([1 + 0.95e-9, -0.95e-9])), (computational_measurement(2),)).n == 1
 
 
+@pytest.mark.parametrize("given_count, then_count", [(0, 6), (2, 4), (1, 1)])
+def test_a_state_sequence_is_admitted_as_the_test_of_its_measurements(given_count, then_count):
+    # one d=8 measurement 0.9e-9 past complete passes its own check, and each
+    # repeat adds its excess again: six complete events used to read
+    # 1.0000000054 and end in InternalConsistency (the conditionals 1.0000000018);
+    # given and then admitted apart would each pass, and their walk would not
+    dim, excess = 8, 0.9e-9
+    full = complete_event(Measurement("M1", helpers.overcomplete_pair(dim, excess)))
+    rho = validate_density(np.eye(dim) / dim)
+    assert pr_state(rho, [full]) == 1.0  # 1 + 0.9e-9, clamped
+    with pytest.raises(NotCompleteError, match="completeness budget") as exc:
+        if given_count:
+            pr_state_cond(rho, [full] * given_count, [full] * then_count)
+        else:
+            pr_state(rho, [full] * then_count)
+    assert exc.value.detail["budget"] == pytest.approx((given_count + then_count) * excess, rel=1e-6)
+
+
+def test_a_state_conditional_admits_then_before_reading_its_denominator():
+    # the empty conditioning event has probability 0, but the event of the
+    # wrong dimension in *then* is refused first
+    m1, _ = zx_measurement_pair()
+    stranger = Event(computational_measurement(3, "Z3"), ["0"])
+    with pytest.raises(DimensionMismatchError, match="measurement 'Z3' has dimension 3, state has 2"):
+        pr_state_cond(plus_state(), [empty_event(m1)], [stranger])
+
+
+def test_a_conditional_may_pass_one_by_the_admitted_budget_above_a_small_denominator():
+    # the conditioning marginal reads 2e-9 and the joint 2.5e-9: the state's
+    # negative mass, 0.5e-9, lifts the numerator past the denominator by more
+    # than a relative tol.prob * denom, which used to end in InternalConsistency
+    rho = validate_density(helpers.RATIO_PROBE_STATE)
+    measurements = tuple(Measurement(name, kraus) for name, kraus in helpers.RATIO_PROBE_KRAUS.items())
+    events = {i: Event(m, outcomes) for i, (m, outcomes) in enumerate(zip(measurements, helpers.RATIO_PROBE_EVENTS), 1)}
+    a = TestEventAssignment(Test(rho, measurements), events)
+    assert pr_test_marginal(a, (1,)) == pytest.approx(2e-9, rel=1e-6)
+    assert pr_test_marginal(a, (1, 2)) == pytest.approx(2.5e-9, rel=1e-6)
+    assert pr_test_cond(a, (1,), (2,)) == 1.0
+    assert pr_state_cond(rho, [events[1]], [events[2]]) == 1.0
+    assert is_independent(a, 2, (1,)) is False
+
+
 def test_generated_budgets_are_far_below_tol_prob(pool40):
     shapes = [(GeneratorKind.TENSOR_PRODUCT, 6, 2, 1), (GeneratorKind.SLIDING_WINDOW, 5, 2, 2)]
     d64 = [generate(GeneratorSpec(kind=k, n=n, local_dim=d, window=w, seed=1)) for k, n, d, w in shapes]

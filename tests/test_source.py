@@ -193,6 +193,14 @@ def test_completeness_is_refused_where_measurements_and_tests_are_built():
     assert sorted(sites) == ["events.py:Measurement.__post_init__", "probability.py:Test.__post_init__"]
 
 
+def test_dimensions_are_refused_where_matrices_measurements_and_tests_are_built():
+    # a bare-state sequence is admitted as the test of its measurements, so a
+    # query that checked dimensions itself would be a second admission
+    sites = _call_sites(lambda f: ast.unparse(f) == "DimensionMismatchError")
+    builders = ["events.py:Measurement.__post_init__", "linalg.py:as_matrix", "probability.py:Test.__post_init__"]
+    assert sorted(sites) == builders
+
+
 def test_only_the_factor_search_peels():
     # one descending scan per side; a second caller would be a second search
     assert _call_sites(lambda f: ast.unparse(f) == "_peel") == ["events.py:_identity_factors"] * 2
